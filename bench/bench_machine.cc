@@ -27,11 +27,6 @@
  * scheduling hiccup in either mode cannot push the overhead estimate
  * around (or below zero, as a one-shot measurement regularly did).
  *
- * After the capture/replay probe, a scalar-vs-batched replay pair
- * times `UopTrace::replayAll` against `replayAllBatched` per scenario
- * and reports `<name>_batched_uops_per_second` / `batched_speedup`;
- * the batched outputs must reproduce the direct signature exactly.
- *
  *   bench_machine [--json PATH] [--scale N] [--trace FILE]
  */
 #include <algorithm>
@@ -50,7 +45,6 @@
 #include "obs/obs.h"
 #include "support/rng.h"
 #include "topdown/machine.h"
-#include "topdown/trace.h"
 
 namespace {
 
@@ -162,144 +156,6 @@ runPass(std::uint64_t scale, obs::Tracer *tracer, const char *pass)
     return p;
 }
 
-/**
- * Capture/replay throughput probe for the segment runner: record every
- * scenario into a UopTrace with simulation skipped, then replay into a
- * fresh machine, and assert the replayed machine's signature equals the
- * direct pass's. Reports record and replay rates so BENCH_machine.json
- * tracks both sides of the segment pipeline's cost model.
- */
-struct CaptureResult
-{
-    double recordSeconds = 0.0;
-    double replaySeconds = 0.0;
-    std::uint64_t uops = 0;
-    bool identical = false;
-};
-
-/**
- * Scalar-vs-batched replay pair: capture each scenario once, then time
- * a scalar `replayAll` against a block-batched `replayAllBatched` on
- * fresh machines (median of three repetitions each, interleaved so
- * both sides see the same drift). The batched machine's outputs are
- * folded and must reproduce the direct pass's signature exactly —
- * the kernel's bit-identity claim, re-proven on every bench run.
- */
-struct BatchedScenario
-{
-    std::string name;
-    std::uint64_t uops = 0;
-    double scalarSeconds = 0.0;
-    double batchedSeconds = 0.0;
-
-    double
-    speedup() const
-    {
-        return batchedSeconds > 0.0 ? scalarSeconds / batchedSeconds
-                                    : 0.0;
-    }
-};
-
-struct BatchedResult
-{
-    std::vector<BatchedScenario> scenarios;
-    double scalarSeconds = 0.0;
-    double batchedSeconds = 0.0;
-    bool identical = false;
-
-    double
-    speedup() const
-    {
-        return batchedSeconds > 0.0 ? scalarSeconds / batchedSeconds
-                                    : 0.0;
-    }
-};
-
-BatchedResult
-runBatchedPass(std::uint64_t scale, const Signature &expected)
-{
-    constexpr int kReps = 3;
-    BatchedResult out;
-    Signature batchedSig;
-    for (const auto &scenario : kMachineScenarios) {
-        topdown::UopTrace trace;
-        Machine recorder;
-        recorder.captureTo(&trace);
-        recorder.setMethod(1, 4096, support::mix64(1));
-        scenario.run(recorder, scale, nullptr, 0);
-
-        BatchedScenario r;
-        r.name = scenario.name;
-        std::vector<double> scalarTimes;
-        std::vector<double> batchedTimes;
-        for (int rep = 0; rep < kReps; ++rep) {
-            Machine scalar;
-            auto start = std::chrono::steady_clock::now();
-            trace.replayAll(scalar);
-            scalarTimes.push_back(
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-
-            Machine batched;
-            start = std::chrono::steady_clock::now();
-            trace.replayAllBatched(batched);
-            batchedTimes.push_back(
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-            if (rep == 0) {
-                r.uops = batched.retiredOps();
-                foldMachine(batched, batchedSig);
-            }
-        }
-        std::sort(scalarTimes.begin(), scalarTimes.end());
-        std::sort(batchedTimes.begin(), batchedTimes.end());
-        r.scalarSeconds = scalarTimes[kReps / 2];
-        r.batchedSeconds = batchedTimes[kReps / 2];
-        out.scalarSeconds += r.scalarSeconds;
-        out.batchedSeconds += r.batchedSeconds;
-        std::cerr << "  [machine:batched] " << r.name << ": "
-                  << r.uops << " uops, scalar " << r.scalarSeconds
-                  << " s vs batched " << r.batchedSeconds << " s ("
-                  << r.speedup() << "x)\n";
-        out.scenarios.push_back(std::move(r));
-    }
-    out.identical = batchedSig.value == expected.value;
-    return out;
-}
-
-CaptureResult
-runCapturePass(std::uint64_t scale, const Signature &expected)
-{
-    CaptureResult c;
-    Signature replayed;
-    for (const auto &scenario : kMachineScenarios) {
-        topdown::UopTrace trace;
-        Machine recorder;
-        recorder.captureTo(&trace);
-        auto start = std::chrono::steady_clock::now();
-        recorder.setMethod(1, 4096, support::mix64(1));
-        scenario.run(recorder, scale, nullptr, 0);
-        c.recordSeconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        Machine m;
-        start = std::chrono::steady_clock::now();
-        trace.replayAll(m);
-        c.replaySeconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        c.uops += m.retiredOps();
-        foldMachine(m, replayed);
-        std::cerr << "  [machine:capture] " << scenario.name << ": "
-                  << trace.records() << " records, " << m.retiredOps()
-                  << " uops\n";
-    }
-    c.identical = replayed.value == expected.value;
-    return c;
-}
-
 } // namespace
 
 int
@@ -361,24 +217,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Capture/replay pass: trace-record each scenario, replay into a
-    // fresh machine, and require the replayed signature to match.
-    const CaptureResult capture = runCapturePass(scale, plain.sig);
-    if (!capture.identical) {
-        std::cerr << "bench_machine: FAIL: trace replay changed model "
-                     "outputs (signature mismatch)\n";
-        return 1;
-    }
-
-    // Scalar-vs-batched replay pair: the batched kernel must match
-    // the direct pass's signature bit-for-bit, else the build fails.
-    const BatchedResult batched = runBatchedPass(scale, plain.sig);
-    if (!batched.identical) {
-        std::cerr << "bench_machine: FAIL: batched replay changed "
-                     "model outputs (signature mismatch)\n";
-        return 1;
-    }
-
     const auto medianOverall = [](std::vector<PassResult> &passes) {
         std::vector<double> rates;
         rates.reserve(passes.size());
@@ -401,9 +239,7 @@ main(int argc, char **argv)
               << "\n"
               << "Traced: " << tracedOverall / 1e6 << " Muops/s ("
               << sink->spansWritten() << " spans, "
-              << overheadPercent << "% overhead)\n"
-              << "Batched replay: " << batched.speedup()
-              << "x over scalar replay, identical signature\n";
+              << overheadPercent << "% overhead)\n";
 
     // Per-scenario rates are medians over the null passes as well.
     const auto medianScenarioRate = [&](std::size_t scenario) {
@@ -424,15 +260,6 @@ main(int argc, char **argv)
              << "_uops_per_second\": " << medianScenarioRate(s)
              << ",\n";
     }
-    for (const BatchedScenario &b : batched.scenarios) {
-        json << "  \"" << b.name << "_batched_uops_per_second\": "
-             << (b.batchedSeconds > 0.0
-                     ? static_cast<double>(b.uops) / b.batchedSeconds
-                     : 0.0)
-             << ",\n"
-             << "  \"" << b.name
-             << "_batched_speedup\": " << b.speedup() << ",\n";
-    }
     json << "  \"total_uops\": " << plain.totalUops << ",\n"
          << "  \"overall_uops_per_second\": " << overall << ",\n"
          << "  \"traced_overall_uops_per_second\": " << tracedOverall
@@ -440,19 +267,6 @@ main(int argc, char **argv)
          << "  \"tracing_overhead_percent\": " << overheadPercent
          << ",\n"
          << "  \"trace_spans\": " << sink->spansWritten() << ",\n"
-         << "  \"capture_record_uops_per_second\": "
-         << (capture.recordSeconds > 0.0
-                 ? capture.uops / capture.recordSeconds
-                 : 0.0)
-         << ",\n"
-         << "  \"capture_replay_uops_per_second\": "
-         << (capture.replaySeconds > 0.0
-                 ? capture.uops / capture.replaySeconds
-                 : 0.0)
-         << ",\n"
-         << "  \"batched_speedup\": " << batched.speedup() << ",\n"
-         << "  \"batched_replay_identical\": true,\n"
-         << "  \"capture_replay_identical\": true,\n"
          << "  \"signatures_identical\": true,\n"
          << "  \"model_signature\": \"" << sigHex << "\"\n"
          << "}\n";

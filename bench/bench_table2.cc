@@ -11,8 +11,8 @@
  * inflation for lbm/cactuBSSN, and the coverage-variation ordering —
  * not the absolute hardware values.
  *
- * The suite is characterized six times to exercise and track the
- * execution engine across PRs:
+ * The suite is characterized four times to exercise and track the
+ * execution engine:
  *
  *   1. serial baseline      per-benchmark loop, jobs=1, no cache
  *   2. suite-scheduled cold characterizeTable2 through one global
@@ -23,25 +23,12 @@
  *                           directory — simulates a second process
  *                           whose memory cache is empty but whose
  *                           disk cache is populated
- *   5. segment-parallel     cold again (private scratch store), with
- *                           checkpoint-and-splice segmentation of
- *                           long model runs (--segments, default
- *                           auto) breaking the single-run latency
- *                           wall
- *   6. batched-exact cold   per-benchmark loop, jobs=1, no cache,
- *                           every model run capture-then-batched-
- *                           replay (the --batched CLI path) — tracks
- *                           the block-batched kernel end to end,
- *                           capture overhead included
  *
- * Model outputs must be bit-identical across the five exact passes;
- * the segmented pass must match checksums exactly and every top-down
- * fraction within the pinned 1e-3 splice bound. Wall times, derived
- * speedups, per-benchmark longest-chain seconds, the suite critical
- * path, and the disk-cache counters are written to BENCH_table2.json.
+ * Model outputs must be bit-identical across the four passes. Wall
+ * times, derived speedups, per-benchmark longest-chain seconds, and
+ * the disk-cache counters are written to BENCH_table2.json.
  *
- *   bench_table2 [--jobs N] [--segments {auto,K}] [--json PATH]
- *                [--cache-dir DIR]
+ *   bench_table2 [--jobs N] [--json PATH] [--cache-dir DIR]
  *
  * Without --cache-dir a temporary directory is used and removed on
  * exit; with it, the store (results + cost ledger) persists so later
@@ -50,10 +37,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -132,36 +117,6 @@ identicalModelOutputs(const std::vector<core::Characterization> &a,
     return true;
 }
 
-/**
- * Largest absolute difference across every workload's four top-down
- * fractions, or infinity when the workload sets or checksums differ
- * (splicing never touches the checksum path, so checksums must be
- * exactly equal).
- */
-double
-maxSpliceError(const std::vector<core::Characterization> &exact,
-               const std::vector<core::Characterization> &spliced)
-{
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    if (exact.size() != spliced.size())
-        return kInf;
-    double worst = 0.0;
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-        const auto &x = exact[i];
-        const auto &y = spliced[i];
-        if (x.workloadNames != y.workloadNames ||
-            x.checksumPerWorkload != y.checksumPerWorkload)
-            return kInf;
-        for (std::size_t w = 0; w < x.topdownPerWorkload.size(); ++w) {
-            const auto xa = x.topdownPerWorkload[w].asArray();
-            const auto ya = y.topdownPerWorkload[w].asArray();
-            for (std::size_t k = 0; k < xa.size(); ++k)
-                worst = std::max(worst, std::abs(xa[k] - ya[k]));
-        }
-    }
-    return worst;
-}
-
 /** Longest single-workload model run (the benchmark's critical
  * chain: its workloads are independent, so the slowest one bounds
  * the benchmark's latency on unlimited workers). */
@@ -198,26 +153,19 @@ main(int argc, char **argv)
         if (std::atoi(env) > 0)
             jobs = std::atoi(env);
     }
-    int segments = 0; // 0 = auto
     std::string jsonPath = "BENCH_table2.json";
     std::string cacheDir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
             jobs = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--segments") == 0 &&
-                 i + 1 < argc) {
-            ++i;
-            segments = std::strcmp(argv[i], "auto") == 0
-                           ? 0
-                           : std::atoi(argv[i]);
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
         else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
                  i + 1 < argc)
             cacheDir = argv[++i];
         else {
-            std::cerr << "usage: bench_table2 [--jobs N] [--segments "
-                         "{auto,K}] [--json PATH] [--cache-dir DIR]\n";
+            std::cerr << "usage: bench_table2 [--jobs N] [--json PATH] "
+                         "[--cache-dir DIR]\n";
             return 2;
         }
     }
@@ -286,52 +234,10 @@ main(int argc, char **argv)
         [&] { return core::characterizeTable2(suiteRequest, &second); },
         "disk-warm (fresh engine)");
 
-    // 6. Batched-exact, cold: the serial loop again, but every model
-    // run captures its uop stream once and replays it through the
-    // block-batched kernel (runtime::runBatchedExact). Same outputs,
-    // bit for bit; the wall time prices capture + batched replay
-    // against the fused generate-and-model serial baseline.
-    core::RunRequest batchedRequest;
-    batchedRequest.jobs = 1;
-    batchedRequest.batched = true;
-    std::vector<core::Characterization> batchedExact;
-    const double batchedSeconds = timeSuite(
-        batchedExact,
-        [&] {
-            return characterizePerBenchmark(batchedRequest, "batched");
-        },
-        "batched-exact cold");
-
     const bool identical = identicalModelOutputs(serial, suiteCold) &&
                            identicalModelOutputs(serial, warm) &&
-                           identicalModelOutputs(serial, diskWarm) &&
-                           identicalModelOutputs(serial, batchedExact);
+                           identicalModelOutputs(serial, diskWarm);
 
-    // 5. Segment-parallel, cold: a private scratch store so nothing
-    // is served from the earlier passes, with long model runs cut
-    // into concurrent segment replays through the scheduler's
-    // expansion waves.
-    const std::string segCacheDir =
-        (std::filesystem::temp_directory_path() /
-         ("alberta-bench-segcache-" + std::to_string(::getpid())))
-            .string();
-    runtime::Engine segEngine = runtime::Engine::Builder()
-                                    .jobs(jobs)
-                                    .cacheDir(segCacheDir)
-                                    .build();
-    core::RunRequest segRequest;
-    segRequest.segments = segments;
-    std::vector<core::Characterization> segmented;
-    const double segmentedSeconds = timeSuite(
-        segmented,
-        [&] { return core::characterizeTable2(segRequest, &segEngine); },
-        "segment-parallel cold");
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(segCacheDir, ec);
-    }
-    const double spliceError = maxSpliceError(serial, segmented);
-    constexpr double kSpliceBound = 1e-3; // pinned by test_segment
 
     support::Table table(core::table2Header());
     for (const auto &c : serial)
@@ -357,12 +263,6 @@ main(int argc, char **argv)
               << "  disk-warm          : " << diskWarmSeconds
               << " s (speedup " << serialSeconds / diskWarmSeconds
               << "x)\n"
-              << "  segmented, cold    : " << segmentedSeconds
-              << " s (speedup " << serialSeconds / segmentedSeconds
-              << "x, splice err " << spliceError << ")\n"
-              << "  batched-exact, cold: " << batchedSeconds
-              << " s (speedup " << serialSeconds / batchedSeconds
-              << "x)\n"
               << "  tasks run          : " << stats.tasksRun << "\n"
               << "  task queue / run   : " << stats.queueSeconds
               << " s / " << stats.runSeconds << " s\n"
@@ -372,30 +272,9 @@ main(int argc, char **argv)
               << "  disk hits (2nd eng): " << disk->hits() << " ("
               << disk->corrupt() << " corrupt)\n"
               << "  model outputs      : "
-              << (identical ? "bit-identical across exact runs"
+              << (identical ? "bit-identical across all passes"
                             : "MISMATCH (bug!)")
-              << "\n"
-              << "  spliced fractions  : "
-              << (spliceError < kSpliceBound
-                      ? "within pinned 1e-3 bound"
-                      : "OUT OF BOUND (bug!)")
               << "\n";
-
-    // Longest-chain view: each benchmark's slowest single model run,
-    // serial vs segmented — the latency segment parallelism exists to
-    // shrink. The suite critical path is the slowest chain.
-    double criticalSerial = 0.0;
-    double criticalSegmented = 0.0;
-    for (std::size_t b = 0; b < serial.size(); ++b) {
-        criticalSerial =
-            std::max(criticalSerial, longestChainSeconds(serial[b]));
-        criticalSegmented = std::max(
-            criticalSegmented, longestChainSeconds(segmented[b]));
-    }
-    std::cout << "  critical path      : " << criticalSerial
-              << " s serial -> " << criticalSegmented
-              << " s segmented ("
-              << criticalSerial / criticalSegmented << "x)\n";
 
     std::ofstream json(jsonPath);
     json << "{\n"
@@ -403,44 +282,24 @@ main(int argc, char **argv)
          << "  \"jobs\": " << engine.jobs() << ",\n"
          << "  \"hardware_concurrency\": "
          << std::thread::hardware_concurrency() << ",\n"
-         << "  \"segments\": "
-         << (segments == 0 ? std::string("\"auto\"")
-                           : std::to_string(segments))
-         << ",\n"
          << "  \"benchmarks\": " << serial.size() << ",\n"
          << "  \"serial_seconds\": " << serialSeconds << ",\n"
          << "  \"suite_sched_cold_seconds\": " << suiteColdSeconds
          << ",\n"
          << "  \"parallel_warm_seconds\": " << warmSeconds << ",\n"
          << "  \"disk_warm_seconds\": " << diskWarmSeconds << ",\n"
-         << "  \"segmented_cold_seconds\": " << segmentedSeconds
-         << ",\n"
-         << "  \"batched_cold_seconds\": " << batchedSeconds << ",\n"
-         << "  \"speedup_batched_cold\": "
-         << serialSeconds / batchedSeconds << ",\n"
          << "  \"speedup_suite_cold\": "
          << serialSeconds / suiteColdSeconds << ",\n"
          << "  \"speedup_parallel_warm\": "
          << serialSeconds / warmSeconds << ",\n"
          << "  \"speedup_disk_warm\": "
          << serialSeconds / diskWarmSeconds << ",\n"
-         << "  \"speedup_segmented_cold\": "
-         << serialSeconds / segmentedSeconds << ",\n"
-         << "  \"critical_path_serial_seconds\": " << criticalSerial
-         << ",\n"
-         << "  \"critical_path_seconds\": " << criticalSegmented
-         << ",\n"
-         << "  \"splice_max_abs_error\": " << spliceError << ",\n"
-         << "  \"splice_within_bound\": "
-         << (spliceError < kSpliceBound ? "true" : "false") << ",\n"
          << "  \"per_benchmark\": [\n";
     for (std::size_t b = 0; b < serial.size(); ++b) {
         json << "    {\"name\": \"" << serial[b].benchmark
              << "\", \"serial_seconds\": " << serialPerBench[b]
              << ", \"longest_chain_serial_seconds\": "
-             << longestChainSeconds(serial[b])
-             << ", \"longest_chain_segmented_seconds\": "
-             << longestChainSeconds(segmented[b]) << "}"
+             << longestChainSeconds(serial[b]) << "}"
              << (b + 1 < serial.size() ? "," : "") << "\n";
     }
     json << "  ],\n"
@@ -458,5 +317,5 @@ main(int argc, char **argv)
         std::filesystem::remove_all(cacheDir, ec);
     }
 
-    return identical && spliceError < kSpliceBound ? 0 : 1;
+    return identical ? 0 : 1;
 }

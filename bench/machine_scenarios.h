@@ -11,9 +11,9 @@
  *   mixed      interpreter-style dispatch: indirect + load per step
  *
  * The tests replay these exact call sequences to verify that
- * Machine::reset() and snapshot()/restore() cover the complete
- * architectural state, so a new kind of machine activity added to a
- * scenario here is automatically covered by those tests too.
+ * Machine::reset() covers the complete architectural state, so a new
+ * kind of machine activity added to a scenario here is automatically
+ * covered by that test too.
  */
 #ifndef ALBERTA_BENCH_MACHINE_SCENARIOS_H
 #define ALBERTA_BENCH_MACHINE_SCENARIOS_H

@@ -15,19 +15,6 @@
  *
  *   --jobs N        worker threads for model runs (default:
  *                   ALBERTA_JOBS when set, else hardware concurrency)
- *   --segments K    checkpoint-and-splice segment parallelism for
- *                   model runs: "auto" (default) segments long
- *                   workloads by their uop estimate, 1 forces every
- *                   run exact, K > 1 forces K segments. Spliced
- *                   top-down fractions are within 1e-3 of exact
- *                   (pinned by test); checksums and uop counts are
- *                   exact either way.
- *   --batched       route unsegmented model runs through the
- *                   trace-backed batched-exact path (capture once,
- *                   replay through the block-batched kernel). Outputs
- *                   are bit-identical to direct runs and share their
- *                   cache keys; timed refrate repetitions still
- *                   execute direct.
  *   --format FMT    output format: text (default), md, or json
  *   --trace FILE    write a JSON-lines span trace of the run session
  *   --cache-dir DIR persist model results (and the scheduler's cost
@@ -38,7 +25,8 @@
  *   --stats         print the one-line executor/cache/scheduler
  *                   summary to stderr on exit
  *
- * The characterizing commands build one core::RunRequest — the same
+ * Every model run executes the full model exactly. The
+ * characterizing commands build one core::RunRequest — the same
  * serializable spec `alberta_serve` accepts over its socket — and
  * execute it through one shared runtime::Engine, so `--format json`
  * output here is byte-identical to the daemon's payload for the same
@@ -56,7 +44,6 @@
 #include "support/check.h"
 #include "support/table.h"
 #include "support/text.h"
-#include "topdown/machine.h"
 
 namespace {
 
@@ -182,38 +169,7 @@ printStats(runtime::Engine &engine)
               << metrics.counter("scheduler.dispatched").value()
               << " scheduler_steals_avoided="
               << metrics.counter("scheduler.steals_avoided").value()
-              << " scheduler_waves="
-              << metrics.counter("scheduler.waves").value()
               << " ledger_entries=" << engine.ledger().size() << "\n";
-    // Per-pass replay throughput: the record pass appends to the
-    // trace while the benchmark computes; the replay pass is the
-    // model alone, so its uops/s isolates the kernel's speed.
-    const auto perPass = [&](const char *label, const char *uopsKey,
-                             const char *secondsKey) {
-        const std::uint64_t uops = metrics.counter(uopsKey).value();
-        const double seconds =
-            metrics.histogram(secondsKey).sum();
-        if (uops == 0)
-            return;
-        std::cerr << "[stats] " << label << "_uops=" << uops
-                  << " " << label << "_seconds="
-                  << support::formatFixed(seconds, 3) << " " << label
-                  << "_uops_per_sec="
-                  << support::formatFixed(
-                         seconds > 0.0
-                             ? static_cast<double>(uops) / seconds
-                             : 0.0,
-                         0)
-                  << "\n";
-    };
-    perPass("segment_record", "segment.record_uops",
-            "segment.record_seconds");
-    perPass("segment_replay", "segment.replay_uops",
-            "segment.replay_seconds");
-    const topdown::BatchCounters &batch = topdown::batchCounters();
-    std::cerr << "[stats] batch_blocks=" << batch.blocks.load()
-              << " batch_fallbacks=" << batch.fallbackBlocks.load()
-              << "\n";
     if (const runtime::PersistentCache *disk = engine.disk()) {
         std::cerr << "[stats] cache_dir=" << disk->dir()
                   << " disk_hits=" << disk->hits()
@@ -238,11 +194,9 @@ constexpr const char *kUsageTail =
 int
 main(int argc, char **argv)
 {
-    int jobs = 0;     // 0 = ALBERTA_JOBS / hardware concurrency
-    int segments = 0; // 0 = auto (segment by uop estimate)
-    int priority = 0;    // queue priority when served by a daemon
-    int deadlineMs = 0;  // queue deadline when served by a daemon
-    bool batched = false;
+    int jobs = 0;       // 0 = ALBERTA_JOBS / hardware concurrency
+    int priority = 0;   // queue priority when served by a daemon
+    int deadlineMs = 0; // queue deadline when served by a daemon
     bool emitRequest = false;
     bool wantStats = false;
     bool wantMetrics = false;
@@ -257,20 +211,6 @@ main(int argc, char **argv)
                      "worker threads for model runs (default: "
                      "ALBERTA_JOBS, else hardware concurrency)",
                      &jobs)
-        .custom("--segments", "{auto,K}",
-                "segment parallelism: auto (default), 1 = exact, "
-                "K > 1 = force K segments",
-                [&](const std::string &value) {
-                    segments =
-                        value == "auto"
-                            ? 0
-                            : static_cast<int>(
-                                  support::parsePositiveInt(
-                                      value, "--segments", 1024));
-                })
-        .flag("--batched",
-              "trace-backed batched-exact model runs (bit-identical)",
-              &batched)
         .positiveInt("--priority", "N",
                      "queue priority 1-100 when the request is served "
                      "by alberta_serve (default: 0)",
@@ -332,8 +272,6 @@ main(int argc, char **argv)
                 .build();
         const core::ReportWriter writer(format, &engine);
         core::RunRequest request;
-        request.segments = segments;
-        request.batched = batched;
         request.priority = priority;
         request.deadlineMs = deadlineMs;
         // --emit-request: print the daemon's wire line for the

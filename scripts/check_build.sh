@@ -12,19 +12,16 @@
 #                       file bit-for-bit — any semantic change to the
 #                       model fails here unless it is explicitly
 #                       acknowledged with ALBERTA_ALLOW_MODEL_CHANGE=1.
-#   BENCH_table2.json   serial vs suite-scheduled vs cache-warm vs
-#                       segment-parallel wall time of the full
-#                       Table II characterization, with the splice
-#                       error and critical-path columns.
+#   BENCH_table2.json   serial vs suite-scheduled vs cache-warm wall
+#                       time of the full Table II characterization.
 #   BENCH_serve.json    daemon throughput and latency percentiles
 #                       over the dispatchers x clients grid; gated on
 #                       the cold/warm aggregates, per-cell rows
 #                       report only.
 #
 # In between it smoke-tests the CLI: traced characterization (JSON
-# spans), persistent cache (disk-warm bit-identity), and checkpoint-
-# and-splice segmentation (--segments 4 within the pinned 1e-3
-# fraction tolerance, checksums exact).
+# spans), persistent cache (disk-warm bit-identity), and the serving
+# daemon (suite payload byte-identical to the CLI's).
 #
 # After regenerating, each tracker is diffed against the committed
 # snapshot with scripts/bench_diff.py: a >20% regression of any
@@ -114,47 +111,11 @@ fi
 echo "check_build: persistent cache OK ($warm_hits disk hits," \
      "identical JSON row)"
 
-# Segment-parallel smoke test: the same benchmark exact and spliced
-# into 4 segments. Checksums must match exactly; every per-workload
-# top-down fraction must agree within the pinned 1e-3 tolerance.
-exact_report="$BUILD_DIR/check_segments_exact.json"
-spliced_report="$BUILD_DIR/check_segments_spliced.json"
-"$BUILD_DIR"/examples/alberta_cli report 505.mcf_r \
-    --segments 1 --format json > "$exact_report" 2> /dev/null
-"$BUILD_DIR"/examples/alberta_cli report 505.mcf_r \
-    --segments 4 --format json > "$spliced_report" 2> /dev/null
-if command -v python3 > /dev/null; then
-    python3 - "$exact_report" "$spliced_report" << 'EOF'
-import json, sys
-exact = json.load(open(sys.argv[1]))
-spliced = json.load(open(sys.argv[2]))
-ew, sw = exact["workloads"], spliced["workloads"]
-if [w["name"] for w in ew] != [w["name"] for w in sw]:
-    sys.exit("check_build: segmented run changed the workload list")
-worst = 0.0
-for e, s in zip(ew, sw):
-    if e["checksum"] != s["checksum"]:
-        sys.exit(f"check_build: checksum drift on {e['name']}: "
-                 f"{e['checksum']} != {s['checksum']}")
-    for key in ("frontend", "backend", "badspec", "retiring"):
-        worst = max(worst, abs(e[key] - s[key]))
-if worst >= 1e-3:
-    sys.exit(f"check_build: spliced fraction error {worst:.2e} "
-             "exceeds the pinned 1e-3 tolerance")
-print(f"check_build: segment splice OK ({len(ew)} workloads, "
-      f"max fraction error {worst:.2e} < 1e-3, checksums exact)")
-EOF
-else
-    echo "check_build: python3 not found, skipping segment check"
-fi
-
 # Serving-layer smoke test: a daemon on a temp socket — with a
 # 4-thread dispatcher pool — must answer a Table II suite request
 # with bytes identical to the serial CLI run against the same cache
 # directory, answer /metrics out of the registry, and drain cleanly
 # on SIGTERM without leaving the socket or any temp files behind.
-# --segments 1 / "segments":1 pins the exact (unsliced) path so the
-# comparison is independent of the host's core count.
 serve_dir="$(mktemp -d "${TMPDIR:-/tmp}/alberta-check-serve.XXXXXX")"
 trap 'rm -rf "$cache_dir" "$serve_dir"' EXIT
 serve_sock="$serve_dir/daemon.sock"
@@ -190,7 +151,7 @@ def ask(line):
         sys.exit("check_build: daemon hung up mid-conversation")
     return resp.decode()
 
-resp = ask('{"op":"run","id":1,"run":{"kind":"suite","segments":1}}')
+resp = ask('{"op":"run","id":1,"run":{"kind":"suite"}}')
 env = json.loads(resp)
 if env["id"] != 1 or not env["ok"] or env["kind"] != "suite":
     sys.exit(f"check_build: bad suite envelope: {resp[:200]}")
@@ -208,7 +169,7 @@ for counter in ("serve.requests", "serve.responses"):
 s.close()
 print("check_build: daemon answered the suite request and /metrics")
 EOF
-    "$BUILD_DIR"/examples/alberta_cli suite --format json --segments 1 \
+    "$BUILD_DIR"/examples/alberta_cli suite --format json \
         --cache-dir "$serve_cache" > "$cli_suite" 2> /dev/null
     if ! cmp -s "$served_suite" "$cli_suite"; then
         echo "check_build: FAIL: served suite JSON differs from the" \

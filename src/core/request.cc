@@ -36,13 +36,9 @@ RunRequest::toJson() const
        << ",\"workload\":" << jsonQuote(workload)
        << ",\"refrate_repetitions\":" << refrateRepetitions
        << ",\"include_test\":" << (includeTest ? "true" : "false")
-       << ",\"jobs\":" << jobs << ",\"segments\":" << segments
-       << ",\"segment_warmup_uops\":" << segmentWarmupUops
-       << ",\"segment_target_uops\":" << segmentTargetUops
-       << ",\"batched\":" << (batched ? "true" : "false");
-    // priority/deadline_ms are omitted at their defaults so the JSON
-    // form of a default request is byte-identical to PR 7 clients'
-    // (and serialize -> parse -> serialize is byte-stable both ways).
+       << ",\"jobs\":" << jobs;
+    // priority/deadline_ms are omitted at their defaults, so
+    // serialize -> parse -> serialize is byte-stable both ways.
     if (priority != 0)
         os << ",\"priority\":" << priority;
     if (deadlineMs != 0)
@@ -70,13 +66,17 @@ RunRequest::fromJson(const support::JsonValue &value)
         else if (key == "jobs")
             request.jobs = static_cast<int>(member.asUint(1024));
         else if (key == "segments")
-            request.segments = static_cast<int>(member.asUint(1024));
-        else if (key == "segment_warmup_uops")
-            request.segmentWarmupUops = member.asUint();
-        else if (key == "segment_target_uops")
-            request.segmentTargetUops = member.asUint();
+            support::fatalIf(member.asUint() != 1,
+                             "request: segment parallelism was removed; "
+                             "\"segments\" must be 1 (every run is "
+                             "exact)");
+        else if (key == "segment_warmup_uops" ||
+                 key == "segment_target_uops")
+            member.asUint(); // older clients send these; ignored
         else if (key == "batched")
-            request.batched = member.asBool();
+            support::fatalIf(member.asBool(),
+                             "request: the batched replay path was "
+                             "removed; \"batched\" must be false");
         else if (key == "priority")
             request.priority = static_cast<int>(
                 member.asUint(RunRequest::kMaxPriority));
@@ -114,13 +114,7 @@ RunRequest::validate() const
                      "request: kind 'run' requires a workload");
     support::fatalIf(refrateRepetitions < 1,
                      "request: refrate_repetitions must be >= 1");
-    support::fatalIf(jobs < 0 || segments < 0,
-                     "request: jobs and segments must be >= 0");
-    support::fatalIf(kind == "run" && segments > 1,
-                     "request: kind 'run' executes exact "
-                     "(segments must be 0 or 1)");
-    support::fatalIf(segmentTargetUops == 0,
-                     "request: segment_target_uops must be > 0");
+    support::fatalIf(jobs < 0, "request: jobs must be >= 0");
     support::fatalIf(priority < 0 || priority > kMaxPriority,
                      "request: priority must be in [0, ",
                      kMaxPriority, "], got ", priority);
@@ -197,11 +191,7 @@ execute(const RunRequest &request, runtime::Engine &engine,
         const runtime::Workload workload =
             runtime::findWorkload(*bm, request.workload);
         const runtime::RunMeasurement m =
-            request.batched
-                ? runtime::measureBatchedExact(*bm, workload,
-                                               &engine.cache())
-                : runtime::measureCached(*bm, workload,
-                                         &engine.cache());
+            runtime::measureCached(*bm, workload, &engine.cache());
         std::ostringstream os;
         os << "{\"benchmark\":" << jsonQuote(bm->name())
            << ",\"workload\":" << jsonQuote(workload.name)

@@ -13,7 +13,6 @@
  * @code
  *   core::RunRequest request;
  *   request.kind = "suite";
- *   request.segments = 0; // auto
  *   core::RunResult result = core::execute(request, engine);
  *   std::cout << result.payload << "\n"; // Table II JSON
  * @endcode
@@ -31,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "runtime/segment.h"
 #include "support/json.h"
 
 namespace alberta::runtime {
@@ -45,7 +43,7 @@ struct Characterization;
 /**
  * A fully serializable run specification: what to run (kind,
  * benchmark, workload) plus the model configuration (repetitions,
- * segmentation, batching). This is the payload the daemon accepts
+ * included workloads, worker threads). This is the payload the daemon accepts
  * over its socket and the options block every in-process entry point
  * takes; see @ref execute for the kinds.
  */
@@ -69,25 +67,11 @@ struct RunRequest
      */
     int jobs = 1;
     /**
-     * Checkpoint-and-splice segments per model run: 1 = exact,
-     * 0 = auto (by uop estimate), N > 1 = force N. Spliced fractions
-     * are within 1e-3 of exact (pinned by test); checksums exact.
-     */
-    int segments = 1;
-    /** Warm-up uops replayed ahead of each segment. */
-    std::uint64_t segmentWarmupUops =
-        runtime::kDefaultSegmentWarmupUops;
-    /** Auto segmentation aims for about this many uops/segment. */
-    std::uint64_t segmentTargetUops = 16'000'000;
-    /** Route untimed model runs through the trace-backed
-     * batched-exact path (bit-identical, shared cache keys). */
-    bool batched = false;
-    /**
      * Scheduling priority for the daemon's dispatcher pool:
      * [0, kMaxPriority], higher is served earlier across clients
-     * (per-client order is never reordered). 0 — the default — keeps
-     * the PR 7 wire format: toJson() omits the member entirely, so
-     * requests from older clients round-trip byte-identically.
+     * (per-client order is never reordered). 0 — the default — is
+     * omitted from toJson(), so a request without a priority
+     * round-trips byte-identically.
      */
     int priority = 0;
     /**
@@ -108,8 +92,16 @@ struct RunRequest
     /** This request as one JSON object (round-trips via fromJson). */
     std::string toJson() const;
 
-    /** Parse from a JSON object; unknown keys and ill-typed values
-     * are fatal, absent keys keep their defaults. */
+    /**
+     * Parse from a JSON object; unknown keys and ill-typed values
+     * are fatal, absent keys keep their defaults. The keys of the
+     * removed segment and batched execution modes (`segments`,
+     * `segment_warmup_uops`, `segment_target_uops`, `batched`) are
+     * still accepted at their exact-path values (`segments` 1,
+     * `batched` false, any warm-up/target count) and ignored, so
+     * lines from older clients keep parsing; any other value is
+     * fatal with a message naming the removed feature.
+     */
     static RunRequest fromJson(const support::JsonValue &value);
 
     /** @ref fromJson over parsed @p text. */

@@ -1,7 +1,6 @@
 #include "core/suite.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -24,7 +23,6 @@
 #include "core/report.h"
 #include "runtime/scheduler.h"
 #include "support/check.h"
-#include "topdown/machine.h"
 
 namespace alberta::core {
 
@@ -114,9 +112,6 @@ characterize(const runtime::Benchmark &benchmark,
 
     const std::uint64_t hitsBefore = cache ? cache->hits() : 0;
     const std::uint64_t missesBefore = cache ? cache->misses() : 0;
-    const topdown::BatchCounters &bc = topdown::batchCounters();
-    const std::uint64_t batchBlocksBefore = bc.blocks.load();
-    const std::uint64_t batchFallbacksBefore = bc.fallbackBlocks.load();
 
     std::optional<runtime::Executor> local;
     if (!executor) {
@@ -130,37 +125,11 @@ characterize(const runtime::Benchmark &benchmark,
     // bit-identical to the serial path. The batch doubles as the
     // cache-probe batch: each task probes the result cache once.
     std::vector<std::size_t> modelIndices;
-    std::vector<std::size_t> segmentedIndices;
-    std::vector<int> segmentCounts(workloads.size(), 1);
     for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (i == refrateIndex)
-            continue;
-        segmentCounts[i] = runtime::resolveSegments(
-            request.segments, benchmark.costHint(workloads[i]),
-            request.segmentTargetUops, executor->jobs());
-        if (segmentCounts[i] > 1)
-            segmentedIndices.push_back(i);
-        else
+        if (i != refrateIndex)
             modelIndices.push_back(i);
     }
     std::vector<runtime::RunMeasurement> results(workloads.size());
-    // Phase 1a: segmented workloads, one at a time — the record pass
-    // is inherently serial, but each workload's segment replays fan
-    // out across the pool, shrinking its single-run latency.
-    for (const std::size_t i : segmentedIndices) {
-        obs::Span run(tracer, workloads[i].name, "segment_run",
-                      root.id());
-        runtime::SegmentOptions seg;
-        seg.segments = segmentCounts[i];
-        seg.warmupUops = request.segmentWarmupUops;
-        seg.executor = executor;
-        seg.cache = cache;
-        seg.metrics = engine ? &engine->metrics() : nullptr;
-        results[i] = runtime::runSegmented(benchmark, workloads[i], seg);
-        run.note("segments",
-                 static_cast<std::uint64_t>(segmentCounts[i]));
-        run.note("uops", results[i].retiredOps);
-    }
     {
         obs::Span batch(tracer, "model_batch", "cache_probe",
                         root.id());
@@ -170,12 +139,8 @@ characterize(const runtime::Benchmark &benchmark,
                 const std::size_t i = modelIndices[task];
                 obs::Span run(tracer, workloads[i].name, "model_run",
                               batchId);
-                results[i] =
-                    request.batched
-                        ? runtime::measureBatchedExact(
-                              benchmark, workloads[i], cache)
-                        : runtime::measureCached(benchmark,
-                                                 workloads[i], cache);
+                results[i] = runtime::measureCached(
+                    benchmark, workloads[i], cache);
                 run.note("uops", results[i].retiredOps);
             });
         batch.note("runs",
@@ -249,11 +214,6 @@ characterize(const runtime::Benchmark &benchmark,
             .add(delta.uopsRetired);
         registry.histogram("characterize.run_seconds")
             .record(delta.runSeconds);
-        registry.counter("batch.blocks")
-            .add(bc.blocks.load() - batchBlocksBefore);
-        registry.counter("batch.fallbacks")
-            .add(bc.fallbackBlocks.load() -
-                 batchFallbacksBefore);
     }
 
     {
@@ -284,92 +244,6 @@ struct SuiteSlot
     bool insertRefrate = false; //!< refrate ran (vs cache replay)
 };
 
-/**
- * An expanding scheduler task for one segmented model run: the first
- * wave executes the record pass (or replays a cached spliced result),
- * then hands the scheduler one follow-up task per segment. The
- * replays interleave with every other benchmark's tasks in the next
- * wave; whichever replay finishes last splices and publishes the
- * result, so no wave-wide barrier waits on this workload.
- */
-runtime::SuiteTask
-makeSegmentTask(const std::string &key, SuiteSlot &slot,
-                const runtime::Benchmark &bm, std::size_t i,
-                runtime::ResultCache *cache, int segments,
-                std::uint64_t warmupUops, double hint,
-                obs::Registry *metrics)
-{
-    runtime::SuiteTask task;
-    task.costKey = key;
-    task.category = "segment_record";
-    task.costHint = hint;
-    task.expand = [&slot, &bm, i, cache, segments, warmupUops, key,
-                   hint, metrics](obs::Span &span) {
-        std::vector<runtime::SuiteTask> replays;
-        const runtime::Workload spliceKey = runtime::splicedWorkload(
-            slot.workloads[i], segments, warmupUops);
-        runtime::CachedRun cached;
-        if (cache && cache->lookup(bm, spliceKey, &cached)) {
-            slot.results[i] = cached.measurement;
-            return replays;
-        }
-        auto plan = std::make_shared<runtime::SegmentPlan>(
-            runtime::recordSegments(bm, slot.workloads[i], segments,
-                                    warmupUops));
-        span.note("segments",
-                  static_cast<std::uint64_t>(plan->segments));
-        span.note("uops", plan->retiredOps);
-        if (metrics) {
-            metrics->counter("segment.record_uops")
-                .add(plan->retiredOps);
-            metrics->histogram("segment.record_seconds")
-                .record(plan->recordSeconds);
-        }
-        auto deltas =
-            std::make_shared<std::vector<runtime::SegmentDelta>>(
-                plan->segments);
-        auto remaining = std::make_shared<std::atomic<int>>(
-            plan->segments);
-        const double segmentHint =
-            hint / static_cast<double>(plan->segments);
-        for (int s = 0; s < plan->segments; ++s) {
-            runtime::SuiteTask replay;
-            replay.costKey = key + "#seg" + std::to_string(s) + "of" +
-                             std::to_string(plan->segments);
-            replay.category = "segment_replay";
-            replay.costHint = segmentHint;
-            replay.run = [&slot, &bm, i, cache, plan, deltas,
-                          remaining, s, segments, warmupUops,
-                          metrics](obs::Span &rspan) {
-                (*deltas)[s] = runtime::measureSegment(
-                    *plan, s, bm, slot.workloads[i], cache);
-                rspan.note("uops", (*deltas)[s].retired);
-                if (metrics) {
-                    metrics->counter("segment.replay_uops")
-                        .add((*deltas)[s].retired);
-                    metrics->histogram("segment.replay_seconds")
-                        .record((*deltas)[s].seconds);
-                }
-                if (remaining->fetch_sub(1) == 1) {
-                    slot.results[i] = runtime::spliceSegments(
-                        *plan, *deltas);
-                    if (cache) {
-                        cache->insert(
-                            bm,
-                            runtime::splicedWorkload(
-                                slot.workloads[i], segments,
-                                warmupUops),
-                            {slot.results[i], {}});
-                    }
-                }
-            };
-            replays.push_back(std::move(replay));
-        }
-        return replays;
-    };
-    return task;
-}
-
 } // namespace
 
 std::vector<Characterization>
@@ -395,9 +269,6 @@ characterizeSuite(
     const int repetitions = std::max(1, request.refrateRepetitions);
     const std::uint64_t hitsBefore = cache ? cache->hits() : 0;
     const std::uint64_t missesBefore = cache ? cache->misses() : 0;
-    const topdown::BatchCounters &bc = topdown::batchCounters();
-    const std::uint64_t batchBlocksBefore = bc.blocks.load();
-    const std::uint64_t batchFallbacksBefore = bc.fallbackBlocks.load();
     const runtime::ExecutorStats statsBefore = executor->stats();
 
     obs::Span root(tracer, "suite", "characterize_suite");
@@ -441,28 +312,13 @@ characterizeSuite(
                 bm.name() + '/' + slot.workloads[i].name;
             const double hint = bm.costHint(slot.workloads[i]);
             if (i != slot.refrateIndex) {
-                const int segments = runtime::resolveSegments(
-                    request.segments, hint, request.segmentTargetUops,
-                    executor->jobs());
-                if (segments > 1) {
-                    tasks.push_back(makeSegmentTask(
-                        key, slot, bm, i, cache, segments,
-                        request.segmentWarmupUops, hint,
-                        engine ? &engine->metrics() : nullptr));
-                    continue;
-                }
                 runtime::SuiteTask task;
                 task.costKey = key;
                 task.category = "model_run";
                 task.costHint = hint;
-                const bool batched = request.batched;
-                task.run = [&slot, &bm, i, cache,
-                            batched](obs::Span &span) {
-                    slot.results[i] =
-                        batched ? runtime::measureBatchedExact(
-                                      bm, slot.workloads[i], cache)
-                                : runtime::measureCached(
-                                      bm, slot.workloads[i], cache);
+                task.run = [&slot, &bm, i, cache](obs::Span &span) {
+                    slot.results[i] = runtime::measureCached(
+                        bm, slot.workloads[i], cache);
                     span.note("uops", slot.results[i].retiredOps);
                 };
                 tasks.push_back(std::move(task));
@@ -572,11 +428,6 @@ characterizeSuite(
         registry.counter("characterize.uops").add(totalUops);
         registry.histogram("characterize.run_seconds")
             .record(delta.runSeconds);
-        registry.counter("batch.blocks")
-            .add(bc.blocks.load() - batchBlocksBefore);
-        registry.counter("batch.fallbacks")
-            .add(bc.fallbackBlocks.load() -
-                 batchFallbacksBefore);
     }
     return out;
 }

@@ -16,7 +16,6 @@
 #include "core/request.h"
 #include "runtime/benchmark.h"
 #include "runtime/engine.h"
-#include "runtime/segment.h"
 #include "stats/summary.h"
 
 namespace alberta::core {
@@ -45,13 +44,9 @@ struct Characterization
     double refrateSeconds = 0.0;     //!< mean wall time, refrate
     std::vector<double> refrateRuns; //!< raw per-run times
     /**
-     * Seconds of each workload's model run, in workload order. Exact
-     * runs report wall time. Segmented runs report the critical path
-     * (record pass plus the longest single replay) in thread CPU
-     * seconds — the latency the run would have with unlimited
-     * workers, the number segment parallelism exists to shrink —
-     * which stays meaningful when concurrent replays oversubscribe
-     * the cores.
+     * Seconds of each workload's model run, in workload order: wall
+     * time for refrate (its first timed repetition), thread CPU time
+     * for the untimed runs (see runtime::measureCached).
      */
     std::vector<double> secondsPerWorkload;
 };
@@ -64,7 +59,7 @@ struct Characterization
  * The run is configured by a @ref RunRequest — the same serializable
  * spec the CLI and the `alberta_serve` daemon construct — of which
  * only the model-configuration fields matter here (repetitions,
- * includeTest, jobs, segments, batched); the kind/benchmark/workload
+ * includeTest, jobs); the kind/benchmark/workload
  * routing fields are ignored because the benchmark is passed
  * directly.
  *

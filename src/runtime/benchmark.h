@@ -50,12 +50,10 @@ class Benchmark
 
     /**
      * Rough retired-uop estimate for @p workload, derived from its
-     * parameters without running anything. Two consumers: the suite
-     * scheduler orders cold runs longest-first before any measured
-     * time exists (the CostLedger converts hints to seconds through
-     * its persisted calibration rate), and the segment planner sizes
-     * auto segment counts (see runtime::resolveSegments). Estimates
-     * need ranking power, not accuracy — being within a small factor
+     * parameters without running anything. The suite scheduler uses
+     * it to order cold runs longest-first before any measured time
+     * exists (the CostLedger converts hints to seconds through its
+     * persisted calibration rate). Estimates need ranking power, not accuracy — being within a small factor
      * is plenty. 0.0 means unknown (sorts as cheapest).
      */
     virtual double

@@ -68,14 +68,6 @@ class ExecutionContext
         return profiler_.coverage(registry_);
     }
 
-    /** The method registry backing this context's coverage scopes
-     * (read-only; used by the segment runner to resolve the dense
-     * method ids a captured trace attributes slots to). */
-    const profile::MethodRegistry &registry() const
-    {
-        return registry_;
-    }
-
     /** Reset machine, profiler, and checksum for a fresh run. */
     void reset();
 

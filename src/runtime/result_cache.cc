@@ -146,9 +146,9 @@ ResultCache::clear()
 namespace {
 
 /** runOnce with the run's cost restated in thread CPU seconds: an
- * untimed model run's `seconds` is a cost estimate (ledger ordering,
- * critical-path accounting), not an end-to-end latency, and CPU time
- * keeps it meaningful when pool workers oversubscribe the cores.
+ * untimed model run's `seconds` is a cost estimate for ledger
+ * ordering, not an end-to-end latency, and CPU time keeps it
+ * meaningful when pool workers oversubscribe the cores.
  * Timed refrate repetitions bypass this path — their wall time is
  * the paper's measurement. */
 RunMeasurement

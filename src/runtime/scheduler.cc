@@ -26,10 +26,6 @@ secondsSince(Clock::time_point start)
  */
 constexpr double kUncalibratedSecondsPerUnit = 1e-8;
 
-/** Expansion waves are bounded by the task graph depth (a segmented
- * workload is record -> replays, depth 2); anything deeper is a bug. */
-constexpr std::uint64_t kMaxWaves = 32;
-
 } // namespace
 
 Scheduler::Scheduler(Executor *executor, CostLedger *ledger,
@@ -40,7 +36,6 @@ Scheduler::Scheduler(Executor *executor, CostLedger *ledger,
     if (metrics) {
         dispatchCounter_ = &metrics->counter("scheduler.dispatched");
         stealCounter_ = &metrics->counter("scheduler.steals_avoided");
-        waveCounter_ = &metrics->counter("scheduler.waves");
     }
 }
 
@@ -58,83 +53,59 @@ Scheduler::run(std::vector<SuiteTask> tasks)
     double rate = ledger_ ? ledger_->secondsPerUnit() : 0.0;
     if (rate <= 0.0)
         rate = kUncalibratedSecondsPerUnit;
+
+    // Longest-expected-first order. Measured ledger seconds win; keys
+    // never timed fall back to their cost hint converted through the
+    // calibration rate. The sort is stable, so tasks with neither
+    // (expected 0.0) keep submission order and a fully cold hint-less
+    // run degrades to the natural sequence.
+    std::vector<double> expected(tasks.size(), 0.0);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const double known =
+            ledger_ ? ledger_->expectedSeconds(tasks[i].costKey) : 0.0;
+        expected[i] = known > 0.0 ? known : tasks[i].costHint * rate;
+    }
+    std::vector<std::size_t> order(tasks.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return expected[a] > expected[b];
+                     });
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        if (order[pos] > pos)
+            ++stats.stealsAvoided;
+    }
+    stats.dispatched = tasks.size();
+
+    std::vector<double> taskSeconds(tasks.size(), 0.0);
+    executor_->parallelFor(tasks.size(), [&](std::size_t i) {
+        SuiteTask &task = tasks[order[i]];
+        support::panicIf(!task.run,
+                         "scheduler: task has no work: " + task.costKey);
+        obs::Span span(tracer_, task.costKey, task.category, batchId);
+        const auto taskStart = Clock::now();
+        task.run(span);
+        taskSeconds[order[i]] = secondsSince(taskStart);
+    });
+
     double calibrationSeconds = 0.0;
     double calibrationUnits = 0.0;
-
-    while (!tasks.empty()) {
-        ++stats.waves;
-        support::panicIf(stats.waves > kMaxWaves,
-                         "scheduler: runaway task expansion");
-
-        // Longest-expected-first order. Measured ledger seconds win;
-        // keys never timed fall back to their cost hint converted
-        // through the calibration rate. The sort is stable, so tasks
-        // with neither (expected 0.0) keep submission order and a
-        // fully cold hint-less run degrades to the natural sequence.
-        std::vector<double> expected(tasks.size(), 0.0);
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            const double known =
-                ledger_ ? ledger_->expectedSeconds(tasks[i].costKey)
-                        : 0.0;
-            expected[i] =
-                known > 0.0 ? known : tasks[i].costHint * rate;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (ledger_)
+            ledger_->record(tasks[i].costKey, taskSeconds[i]);
+        if (tasks[i].costHint > 0.0) {
+            calibrationSeconds += taskSeconds[i];
+            calibrationUnits += tasks[i].costHint;
         }
-        std::vector<std::size_t> order(tasks.size());
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return expected[a] > expected[b];
-                         });
-        for (std::size_t pos = 0; pos < order.size(); ++pos) {
-            if (order[pos] > pos)
-                ++stats.stealsAvoided;
-        }
-        stats.dispatched += tasks.size();
-
-        std::vector<std::vector<SuiteTask>> followUps(tasks.size());
-        std::vector<double> taskSeconds(tasks.size(), 0.0);
-        executor_->parallelFor(tasks.size(), [&](std::size_t i) {
-            SuiteTask &task = tasks[order[i]];
-            support::panicIf(!task.run && !task.expand,
-                             "scheduler: task has no work: " +
-                                 task.costKey);
-            obs::Span span(tracer_, task.costKey, task.category,
-                           batchId);
-            const auto taskStart = Clock::now();
-            if (task.expand)
-                followUps[order[i]] = task.expand(span);
-            else
-                task.run(span);
-            taskSeconds[order[i]] = secondsSince(taskStart);
-        });
-
-        std::vector<SuiteTask> next;
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            if (ledger_)
-                ledger_->record(tasks[i].costKey, taskSeconds[i]);
-            if (tasks[i].costHint > 0.0) {
-                calibrationSeconds += taskSeconds[i];
-                calibrationUnits += tasks[i].costHint;
-            }
-            if (!followUps[i].empty()) {
-                ++stats.expanded;
-                next.insert(next.end(),
-                            std::make_move_iterator(followUps[i].begin()),
-                            std::make_move_iterator(followUps[i].end()));
-            }
-        }
-        tasks = std::move(next);
     }
 
     if (dispatchCounter_) {
         dispatchCounter_->add(stats.dispatched);
         stealCounter_->add(stats.stealsAvoided);
-        waveCounter_->add(stats.waves);
     }
     stats.batchSeconds = secondsSince(start);
     batch.note("tasks", stats.dispatched);
     batch.note("reordered", stats.stealsAvoided);
-    batch.note("waves", stats.waves);
     batch.note("seconds", stats.batchSeconds);
 
     if (ledger_) {

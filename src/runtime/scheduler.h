@@ -37,18 +37,8 @@ struct SuiteTask
     std::string costKey;
     /** Span category, e.g. "model_run" or "refrate_rep". */
     std::string category = "model_run";
-    /** The work; the span is this task's (inactive when untraced).
-     * Exactly one of `run` and `expand` must be set. */
+    /** The work; the span is this task's (inactive when untraced). */
     std::function<void(obs::Span &span)> run;
-    /**
-     * Expanding alternative to `run`: do some work (typically record a
-     * segment plan), then return follow-up tasks the scheduler
-     * dispatches in the next wave, re-sorted longest-first together
-     * with every other follow-up of the current wave. This is how one
-     * long workload becomes several concurrent segment replays without
-     * the scheduler knowing anything about segments.
-     */
-    std::function<std::vector<SuiteTask>(obs::Span &span)> expand;
     /**
      * Abstract cost units (estimated retired uops, from
      * Benchmark::costHint) used to order the task when the ledger has
@@ -68,8 +58,6 @@ struct SchedulerStats
      * left the pool draining behind one straggler.
      */
     std::uint64_t stealsAvoided = 0;
-    std::uint64_t waves = 0;    //!< dispatch waves (1 = no expansion)
-    std::uint64_t expanded = 0; //!< tasks that produced follow-ups
     double batchSeconds = 0.0;  //!< wall time of the whole batch
 };
 
@@ -83,10 +71,6 @@ struct SchedulerStats
  * `costHint` converted through the ledger's calibrated seconds-per-
  * unit rate — so a completely cold ledger still dispatches the big
  * refrate runs first instead of wherever submission order put them.
- *
- * Tasks may expand: an `expand` callback returns follow-up tasks that
- * form the next dispatch wave, re-sorted longest-first among
- * themselves. Waves repeat until no task expands.
  */
 class Scheduler
 {
@@ -97,10 +81,9 @@ class Scheduler
                        obs::Registry *metrics = nullptr);
 
     /**
-     * Dispatch @p tasks as one batch (possibly several expansion
-     * waves) and block until all complete. Bumps the
-     * `scheduler.dispatched` / `scheduler.steals_avoided` /
-     * `scheduler.waves` counters when a metrics registry is attached.
+     * Dispatch @p tasks as one batch and block until all complete.
+     * Bumps the `scheduler.dispatched` / `scheduler.steals_avoided`
+     * counters when a metrics registry is attached.
      */
     SchedulerStats run(std::vector<SuiteTask> tasks);
 
@@ -110,7 +93,6 @@ class Scheduler
     obs::Tracer *tracer_;
     obs::Counter *dispatchCounter_ = nullptr;
     obs::Counter *stealCounter_ = nullptr;
-    obs::Counter *waveCounter_ = nullptr;
 };
 
 } // namespace alberta::runtime

@@ -59,7 +59,7 @@ class ArgParser
                            long long max = 1024);
 
     /**
-     * Custom-validated flag (`--segments {auto,K}`): @p apply
+     * Custom-validated flag (`--format {text,md,json}`): @p apply
      * receives the raw value and may raise FatalError.
      */
     ArgParser &custom(const std::string &name,

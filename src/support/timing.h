@@ -1,7 +1,7 @@
 /**
  * @file
- * Thread CPU-time measurement. Model runs and segment replays are
- * pure CPU work; charging them thread CPU seconds instead of wall
+ * Thread CPU-time measurement. Untimed model runs are pure CPU
+ * work; charging them thread CPU seconds instead of wall
  * seconds keeps per-run costs meaningful when a pool oversubscribes
  * the cores — wall time would charge a task for every deschedule
  * while its siblings ran. Wall-clock timing stays the right tool for

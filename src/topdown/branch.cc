@@ -19,24 +19,15 @@ BranchPredictor::indirect(std::uint64_t site, std::uint64_t target)
     // distribution itself.
     const std::uint64_t key =
         site ^ indirectHistory_ * 0x9e3779b97f4a7c15ULL;
-    return indirectPrepared(key, support::mix64(key), target,
-                            support::mix64(target));
-}
-
-bool
-BranchPredictor::indirectPrepared(std::uint64_t key,
-                                  std::uint64_t key_hash,
-                                  std::uint64_t target,
-                                  std::uint64_t target_mix)
-{
     bool inserted = false;
-    std::uint64_t &entry = targets_.slotHashed(key, key_hash, &inserted);
+    std::uint64_t &entry = targets_.slot(key, &inserted);
     // Whether the last target matched is data the host predictor
     // cannot learn; keep the hot path branch-free (flag ops, not
     // jumps). A fresh slot reads as a mispredict, same as before.
     const bool correct = !inserted && entry == target;
     entry = target;
-    indirectHistory_ = ((indirectHistory_ << 4) ^ target_mix) & 0xffff;
+    indirectHistory_ =
+        ((indirectHistory_ << 4) ^ support::mix64(target)) & 0xffff;
     mispredicts_ += static_cast<std::uint64_t>(!correct);
     return correct;
 }

@@ -21,8 +21,6 @@
 
 namespace alberta::topdown {
 
-class BatchedKernel;
-
 /** Static per-site branch hints produced by the FDO optimizer. */
 struct BranchHints
 {
@@ -50,20 +48,6 @@ class BranchPredictor
     bool
     conditional(std::uint64_t site, bool taken)
     {
-        return conditionalHashed(site, support::mix64(site), taken);
-    }
-
-    /**
-     * @ref conditional with the site hash precomputed by the caller as
-     * `support::mix64(site)`: the batched replay kernel hashes whole
-     * blocks of site keys in one vectorizable sweep before probing.
-     * Outcomes and state evolution are identical to @ref conditional
-     * (which is implemented on top of this).
-     */
-    bool
-    conditionalHashed(std::uint64_t site, std::uint64_t hashed_site,
-                      bool taken)
-    {
         ++conditionals_;
 
         if (hints_) {
@@ -82,8 +66,10 @@ class BranchPredictor
             }
         }
 
+        // The site hash decides which counter each branch trains, so
+        // the model signature pins it.
         const std::uint64_t index =
-            (hashed_site ^ history_) & (kTableSize - 1);
+            (support::mix64(site) ^ history_) & (kTableSize - 1);
         std::uint8_t &counter = counters_[index];
         const bool predicted = counter >= 2;
         if (taken) {
@@ -101,41 +87,6 @@ class BranchPredictor
     }
 
     /**
-     * @ref conditionalHashed specialized for the batched replay
-     * kernel when no FDO hints are installed (the caller must check
-     * @ref hints first — this variant never consults the hint table,
-     * so the site key is not needed). Table read, counter training,
-     * history update, and statistics are expressed with arithmetic
-     * selects instead of data-dependent branches: the modelled
-     * outcomes are exactly the patterns a host branch predictor
-     * cannot learn, so the `if (taken)` / `if (!correct)` pair in the
-     * scalar path costs up to two host mispredictions per modelled
-     * branch on adversarial workloads. Decisions and state evolution
-     * are bit-identical to @ref conditionalHashed.
-     */
-    bool
-    conditionalPrepared(std::uint64_t hashed_site, bool taken)
-    {
-        ++conditionals_;
-        const std::uint64_t index =
-            (hashed_site ^ history_) & (kTableSize - 1);
-        const std::uint8_t counter = counters_[index];
-        const bool predicted = counter >= 2;
-        // Saturating increment and decrement are both computed, then
-        // one select on `taken` picks the survivor (a cmov, not a
-        // jump). Identical saturation behaviour to the scalar ifs.
-        const std::uint8_t up =
-            counter + static_cast<std::uint8_t>(counter < 3);
-        const std::uint8_t down =
-            counter - static_cast<std::uint8_t>(counter > 0);
-        counters_[index] = taken ? up : down;
-        history_ = ((history_ << 1) | (taken ? 1 : 0)) & (kTableSize - 1);
-        const bool correct = predicted == taken;
-        mispredicts_ += static_cast<std::uint64_t>(!correct);
-        return correct;
-    }
-
-    /**
      * Predict and update for one indirect branch via a last-target
      * table keyed by site.
      *
@@ -143,28 +94,8 @@ class BranchPredictor
      */
     bool indirect(std::uint64_t site, std::uint64_t target);
 
-    /**
-     * @ref indirect with the history-combined table key and both
-     * hashes precomputed: @p key must equal
-     * `site ^ indirectHistory() * 0x9e3779b97f4a7c15` at call time,
-     * @p key_hash its mix64, and @p target_mix `mix64(target)`. The
-     * batched kernel derives keys for a whole block by chaining the
-     * history shadow through the trace's targets, then hashes them in
-     * bulk; @ref indirect is implemented on top of this.
-     */
-    bool indirectPrepared(std::uint64_t key, std::uint64_t key_hash,
-                          std::uint64_t target,
-                          std::uint64_t target_mix);
-
-    /** Current indirect-target history register, public so the batched
-     * kernel can seed its per-block key-chaining shadow. */
-    std::uint64_t indirectHistory() const { return indirectHistory_; }
-
     /** Install (or clear, with nullptr) FDO branch hints. */
     void setHints(const BranchHints *hints) { hints_ = hints; }
-
-    /** Currently installed FDO hints (nullptr when none). */
-    const BranchHints *hints() const { return hints_; }
 
     /** Forget all learned state (hints persist). */
     void reset();
@@ -179,24 +110,16 @@ class BranchPredictor
      * indirect-target table, statistics — into @p seed. Equal digests
      * mean identical predictions on every future branch sequence
      * (installed hints are configuration, not learned state, and are
-     * not folded). The predictor is copyable, so machine snapshots
-     * copy it wholesale.
+     * not folded).
      */
     std::uint64_t digest(std::uint64_t seed) const;
 
-    /** gshare geometry, public so the segment warm-up planner
-     * (UopTrace::planWarmStarts) can mirror the counter indexing and
-     * track staleness per table entry. */
+  private:
+    /** gshare geometry: 12-bit global history indexing 4096 2-bit
+     * counters. */
     static constexpr int kHistoryBits = 12;
     static constexpr std::size_t kTableSize = std::size_t(1)
                                               << kHistoryBits;
-
-  private:
-    /** The batched replay kernel's dense all-branch loop mirrors the
-     * gshare registers locally and folds the integer statistics once
-     * per block (src/topdown/batched.cc); state evolution is pinned
-     * bit-identical by the differential suite. */
-    friend class BatchedKernel;
 
     std::vector<std::uint8_t> counters_;
     /** Indirect-target table indexed by site ^ folded history, so

@@ -100,16 +100,6 @@ MemoryHierarchy::beyondL1(std::uint64_t addr)
     return lat_.memory;
 }
 
-double
-MemoryHierarchy::beyondL1Sweep(std::uint64_t addr)
-{
-    if (l2_.accessSweep(addr))
-        return lat_.l2;
-    if (l3_.accessSweep(addr))
-        return lat_.l3;
-    return lat_.memory;
-}
-
 std::uint64_t
 MemoryHierarchy::digest(std::uint64_t seed) const
 {

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "support/check.h"
@@ -54,83 +53,6 @@ class Cache
         return accessSlow(line, set, base);
     }
 
-    /**
-     * Batched-replay access: identical hit/miss decisions and state
-     * updates to @ref access, with the non-MRU way scan written as a
-     * fixed-trip branchless sweep over the set's tag row (and the
-     * victim chosen by a branchless first-minimum reduce) so the
-     * compiler can unroll and vectorize it. Way counts without a
-     * specialization fall back to the scalar scan.
-     */
-    bool
-    accessSweep(std::uint64_t addr)
-    {
-        ++stamp_;
-        const std::uint64_t line = addr >> lineShift_;
-        const std::uint64_t set = line & setMask_;
-        const std::size_t base = static_cast<std::size_t>(set) * ways_;
-        const std::size_t mru = base + mru_[set];
-        if (tags_[mru] == line) {
-            lru_[mru] = stamp_;
-            return true;
-        }
-        switch (ways_) {
-        case 8:
-            return sweepWays<8>(line, set, base);
-        case 16:
-            return sweepWays<16>(line, set, base);
-        default:
-            return accessSlow(line, set, base);
-        }
-    }
-
-    /**
-     * Flat tag-array index of @p addr's line if resident, -1 when
-     * absent. Pure lookup: no stamp, counter, or LRU movement. Used by
-     * the batched kernel to validate a code-fetch cycle before
-     * fast-forwarding it.
-     */
-    std::ptrdiff_t
-    findResident(std::uint64_t addr) const
-    {
-        const std::uint64_t line = addr >> lineShift_;
-        const std::uint64_t set = line & setMask_;
-        const std::size_t base = static_cast<std::size_t>(set) * ways_;
-        for (int w = 0; w < ways_; ++w) {
-            if (tags_[base + w] == line)
-                return static_cast<std::ptrdiff_t>(base + w);
-        }
-        return -1;
-    }
-
-    /**
-     * Apply @p cycles repetitions of the access sequence @p idxs (flat
-     * tag-array indices from @ref findResident, every line resident,
-     * so every access is a hit). Hits never evict, so the final
-     * stamps, LRU order, MRU memos, and counters are bit-identical to
-     * performing the `cycles * idxs.size()` accesses one at a time —
-     * in closed form: ascending-j assignment leaves each index (and
-     * each set's MRU memo) with the stamp of its last occurrence in
-     * the final cycle, so repeated indices are handled too. Used by
-     * the batched kernel to fast-forward steady-state code-fetch
-     * cycles.
-     */
-    void
-    fastForwardHits(std::span<const std::uint32_t> idxs,
-                    std::uint64_t cycles)
-    {
-        const std::uint64_t len = idxs.size();
-        if (len == 0 || cycles == 0)
-            return;
-        const std::uint64_t lastCycle = stamp_ + (cycles - 1) * len;
-        for (std::uint64_t j = 0; j < len; ++j) {
-            const std::size_t idx = idxs[j];
-            lru_[idx] = lastCycle + j + 1;
-            mru_[idx / ways_] = static_cast<std::uint8_t>(idx % ways_);
-        }
-        stamp_ += cycles * len;
-    }
-
     /** Forget all cached lines (used between workload runs). */
     void reset();
 
@@ -144,9 +66,7 @@ class Cache
      * Fold the complete replacement state — tags, LRU stamps, MRU
      * memos, counters — into @p seed. Two caches with equal digests
      * behave identically on every future access sequence; used by
-     * `Machine::stateDigest` to verify snapshot/restore and reset
-     * completeness. The cache itself is copyable, so a snapshot of a
-     * machine simply copies it.
+     * `Machine::stateDigest` to verify reset completeness.
      */
     std::uint64_t digest(std::uint64_t seed) const;
 
@@ -154,40 +74,6 @@ class Cache
     /** Full associative scan; called when the MRU way does not match. */
     bool accessSlow(std::uint64_t line, std::uint64_t set,
                     std::size_t base);
-
-    /** Fixed-trip variant of @ref accessSlow: identical decisions
-     * (tags within a set are unique, so "any match" equals "first
-     * match"; the victim reduce keeps the lowest-indexed minimum,
-     * matching the scalar scan's strict-< update). */
-    template <int W>
-    bool
-    sweepWays(std::uint64_t line, std::uint64_t set, std::size_t base)
-    {
-        const std::uint64_t *tagRow = &tags_[base];
-        int hit = -1;
-        for (int w = 0; w < W; ++w) {
-            if (tagRow[w] == line)
-                hit = w;
-        }
-        if (hit >= 0) {
-            lru_[base + hit] = stamp_;
-            mru_[set] = static_cast<std::uint8_t>(hit);
-            return true;
-        }
-        const std::uint64_t *lruRow = &lru_[base];
-        int victim = 0;
-        std::uint64_t oldest = lruRow[0];
-        for (int w = 1; w < W; ++w) {
-            const bool older = lruRow[w] < oldest;
-            oldest = older ? lruRow[w] : oldest;
-            victim = older ? w : victim;
-        }
-        ++misses_;
-        tags_[base + victim] = line;
-        lru_[base + victim] = stamp_;
-        mru_[set] = static_cast<std::uint8_t>(victim);
-        return false;
-    }
 
     int ways_;
     int lineShift_;
@@ -250,54 +136,6 @@ class MemoryHierarchy
         return extra;
     }
 
-    /// @name Batched-replay entry points
-    /// Same results and state evolution as data()/fetch()/dataRange(),
-    /// with every level probed through Cache::accessSweep; the batched
-    /// kernel routes all its probes here.
-    /// @{
-    double
-    dataSweep(std::uint64_t addr)
-    {
-        if (l1d_.accessSweep(addr))
-            return 0.0;
-        return beyondL1Sweep(addr);
-    }
-
-    double
-    fetchSweep(std::uint64_t addr)
-    {
-        if (l1i_.accessSweep(addr))
-            return 0.0;
-        return beyondL1Sweep(addr);
-    }
-
-    double
-    dataRangeSweep(std::uint64_t first_line, std::uint64_t last_line)
-    {
-        double extra = 0.0;
-        for (std::uint64_t line = first_line; line <= last_line; ++line)
-            extra += dataSweep(line << 6);
-        return extra;
-    }
-
-    /** L1I residency probe for the code-fetch fast-forward (see
-     * Cache::findResident). */
-    std::ptrdiff_t
-    fetchResident(std::uint64_t addr) const
-    {
-        return l1i_.findResident(addr);
-    }
-
-    /** Fast-forward @p cycles repetitions of an all-hit L1I fetch
-     * sequence (see Cache::fastForwardHits). */
-    void
-    fetchFastForward(std::span<const std::uint32_t> idxs,
-                     std::uint64_t cycles)
-    {
-        l1i_.fastForwardHits(idxs, cycles);
-    }
-    /// @}
-
     /** Forget all cached state. */
     void reset();
 
@@ -315,7 +153,6 @@ class MemoryHierarchy
 
   private:
     double beyondL1(std::uint64_t addr);
-    double beyondL1Sweep(std::uint64_t addr);
 
     HierarchyLatency lat_;
     Cache l1d_;

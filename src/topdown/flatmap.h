@@ -55,31 +55,7 @@ class FlatKeyMap
         }
         if (key == kEmptyKey)
             return zeroSlot(inserted);
-        return probe(key, support::mix64(key), inserted);
-    }
-
-    /**
-     * @ref slot with the probe hash precomputed by the caller as
-     * `support::mix64(key)`. The batched replay kernel hashes whole
-     * blocks of keys in one vectorizable sweep, then probes with the
-     * results; behavior and resulting table state are identical to
-     * calling @ref slot (the full 64-bit hash is stored nowhere, so a
-     * rehash between hashing and probing is harmless — the table mask
-     * is applied at probe time).
-     */
-    Value &
-    slotHashed(std::uint64_t key, std::uint64_t hash,
-               bool *inserted = nullptr)
-    {
-        if (key == lastKey_ && lastIndex_ != kNoIndex) {
-            if (inserted)
-                *inserted = false;
-            return lastIndex_ == kZeroIndex ? zeroValue_
-                                            : entries_[lastIndex_].value;
-        }
-        if (key == kEmptyKey)
-            return zeroSlot(inserted);
-        return probe(key, hash, inserted);
+        return probe(key, inserted);
     }
 
     /** Number of distinct keys stored. */
@@ -145,12 +121,12 @@ class FlatKeyMap
         return zeroValue_;
     }
 
-    /** Shared probe-or-insert tail of slot()/slotHashed(); @p hash must
-     * be `support::mix64(key)` and @p key must not be the marker. */
+    /** Probe-or-insert tail of slot(); @p key must not be the
+     * marker. */
     Value &
-    probe(std::uint64_t key, std::uint64_t hash, bool *inserted)
+    probe(std::uint64_t key, bool *inserted)
     {
-        std::size_t idx = findHashed(key, hash);
+        std::size_t idx = findIndex(key);
         if (entries_[idx].key == kEmptyKey) {
             // 3/4 max load, measured, not folklore: halving it shortens
             // probe chains but doubles the table footprint, and for the
@@ -158,7 +134,7 @@ class FlatKeyMap
             // extra cache misses cost more than the probes saved.
             if ((count_ + 1) * 4 > entries_.size() * 3) {
                 rehash(entries_.size() * 2);
-                idx = findHashed(key, hash);
+                idx = findIndex(key);
             }
             entries_[idx].key = key;
             ++count_;
@@ -177,14 +153,8 @@ class FlatKeyMap
     std::size_t
     findIndex(std::uint64_t key) const
     {
-        return findHashed(key, support::mix64(key));
-    }
-
-    std::size_t
-    findHashed(std::uint64_t key, std::uint64_t hash) const
-    {
         const std::size_t mask = entries_.size() - 1;
-        std::size_t idx = hash & mask;
+        std::size_t idx = support::mix64(key) & mask;
         while (entries_[idx].key != kEmptyKey && entries_[idx].key != key)
             idx = (idx + 1) & mask;
         return idx;

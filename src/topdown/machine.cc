@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "support/check.h"
-#include "topdown/trace.h"
 
 namespace alberta::topdown {
 
@@ -49,7 +48,6 @@ Machine::reset()
     nextBoundary_ = 0;
     lastSnapshot_ = SlotCounts{};
     intervals_.clear();
-    capture_ = nullptr;
     divert_ = false;
 }
 
@@ -57,13 +55,6 @@ void
 Machine::setMethod(std::uint32_t id, std::uint32_t code_bytes,
                    std::uint64_t stable_key)
 {
-    if (capture_) {
-        // Record the raw arguments (pre-layout-scaling), so replay
-        // under the same installed layout recomputes the same
-        // footprint; no machine state changes while capturing.
-        capture_->appendMethod(id, code_bytes, stable_key);
-        return;
-    }
     if (id >= methods_.size())
         methods_.resize(id + 1);
     method_ = id;
@@ -132,52 +123,11 @@ Machine::recordIntervals(std::uint64_t uops_per_interval)
     support::fatalIf(retired_ != 0 && uops_per_interval != 0,
                      "machine: interval recording must be enabled "
                      "before execution starts");
-    support::fatalIf(capture_ != nullptr && uops_per_interval != 0,
-                     "machine: interval recording and trace capture "
-                     "are mutually exclusive");
     intervalUops_ = uops_per_interval;
     nextBoundary_ = uops_per_interval;
     lastSnapshot_ = SlotCounts{};
     intervals_.clear();
-    updateDivert();
-}
-
-void
-Machine::captureTo(UopTrace *trace)
-{
-    support::fatalIf(trace != nullptr && retired_ != 0,
-                     "machine: trace capture must be enabled before "
-                     "execution starts");
-    support::fatalIf(trace != nullptr && intervalUops_ != 0,
-                     "machine: interval recording and trace capture "
-                     "are mutually exclusive");
-    capture_ = trace;
-    updateDivert();
-}
-
-void
-Machine::opsDiverted(OpKind k, std::uint64_t n)
-{
-    if (capture_) {
-        capture_->appendOps(k, n);
-        retired_ += n;
-        return;
-    }
-    opsWithIntervals(k, n);
-}
-
-void
-Machine::captureMemory(OpKind kind, std::uint64_t addr)
-{
-    capture_->appendMemory(kind, addr);
-    ++retired_;
-}
-
-void
-Machine::captureCall()
-{
-    capture_->appendCall();
-    ++retired_;
+    divert_ = uops_per_interval != 0;
 }
 
 void
@@ -211,11 +161,6 @@ Machine::stream(OpKind kind, std::uint64_t addr, std::uint64_t count,
         return;
     support::panicIf(kind != OpKind::Load && kind != OpKind::Store,
                      "stream requires Load or Store");
-    if (capture_) {
-        capture_->appendStream(kind, addr, count, stride);
-        retired_ += count;
-        return;
-    }
     ops(kind, count);
     // One hierarchy access per line in the spanned byte range; the
     // per-line extra latencies are summed and charged as one batch.
@@ -232,11 +177,6 @@ Machine::stream(OpKind kind, std::uint64_t addr, std::uint64_t count,
 bool
 Machine::branch(std::uint32_t site, bool taken)
 {
-    if (capture_) {
-        capture_->appendBranch(site, taken);
-        ++retired_;
-        return taken;
-    }
     ops(OpKind::Branch, 1);
     const std::uint64_t key = siteKey(site);
     if (profiling_) {
@@ -258,11 +198,6 @@ Machine::branch(std::uint32_t site, bool taken)
 void
 Machine::indirect(std::uint32_t site, std::uint64_t target)
 {
-    if (capture_) {
-        capture_->appendIndirect(site, target);
-        ++retired_;
-        return;
-    }
     ops(OpKind::Branch, 1);
     const bool correct = predictor_.indirect(siteKey(site), target);
     if (!correct) {
@@ -271,67 +206,6 @@ Machine::indirect(std::uint32_t site, std::uint64_t target)
     } else {
         chargeFrontend(config_.takenBranchFrontend);
     }
-}
-
-MachineSnapshot
-Machine::snapshot() const
-{
-    support::fatalIf(capture_ != nullptr,
-                     "machine: cannot snapshot while capturing (no "
-                     "architectural state accumulates)");
-    MachineSnapshot snap;
-    snap.hierarchy = hierarchy_;
-    snap.predictor = predictor_;
-    snap.methods = methods_;
-    snap.total = total_;
-    snap.method = method_;
-    snap.stableKey = stableKey_;
-    snap.codeBase = codeBase_;
-    snap.codeBytes = codeBytes_;
-    snap.codeCursor = codeCursor_;
-    snap.retired = retired_;
-    snap.lastFetchLine = lastFetchLine_;
-    snap.fastCodeBytes = fastCodeBytes_;
-    snap.profiling = profiling_;
-    snap.profiles = profiles_;
-    snap.intervalUops = intervalUops_;
-    snap.nextBoundary = nextBoundary_;
-    snap.lastSnapshot = lastSnapshot_;
-    snap.intervals = intervals_;
-    return snap;
-}
-
-void
-Machine::restore(const MachineSnapshot &snap)
-{
-    support::fatalIf(capture_ != nullptr,
-                     "machine: cannot restore while capturing");
-    support::fatalIf(snap.methods.empty(),
-                     "machine: snapshot has no method slots");
-    // The hints pointer rides along inside the copied predictor, but
-    // hint installation is this machine's configuration — keep it.
-    const BranchHints *hints = predictor_.hints();
-    hierarchy_ = snap.hierarchy;
-    predictor_ = snap.predictor;
-    predictor_.setHints(hints);
-    methods_ = snap.methods;
-    total_ = snap.total;
-    method_ = snap.method;
-    current_ = &methods_[method_];
-    stableKey_ = snap.stableKey;
-    codeBase_ = snap.codeBase;
-    codeBytes_ = snap.codeBytes;
-    codeCursor_ = snap.codeCursor;
-    retired_ = snap.retired;
-    lastFetchLine_ = snap.lastFetchLine;
-    fastCodeBytes_ = snap.fastCodeBytes;
-    profiling_ = snap.profiling;
-    profiles_ = snap.profiles;
-    intervalUops_ = snap.intervalUops;
-    nextBoundary_ = snap.nextBoundary;
-    lastSnapshot_ = snap.lastSnapshot;
-    intervals_ = snap.intervals;
-    updateDivert();
 }
 
 std::uint64_t

@@ -26,7 +26,6 @@
 #define ALBERTA_TOPDOWN_MACHINE_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -38,26 +37,6 @@
 #include "topdown/uop.h"
 
 namespace alberta::topdown {
-
-class UopTrace;
-class BatchedKernel;
-
-/**
- * Process-wide batched-replay observability counters (relaxed atomics,
- * bumped once per `Machine::replayBatched` call): how many 256-record
- * blocks went through the batched kernel vs. fell back to the scalar
- * replay loop (capture/interval mode, or `ALBERTA_NO_BATCH` set).
- * The runtime layer mirrors deltas into `obs::Registry` so `--stats`
- * can report fast-path coverage.
- */
-struct BatchCounters
-{
-    std::atomic<std::uint64_t> blocks{0};
-    std::atomic<std::uint64_t> fallbackBlocks{0};
-};
-
-/** The process-wide counter instance. */
-BatchCounters &batchCounters();
 
 /** Tunable model parameters (defaults approximate a 4-wide OoO core). */
 struct MachineConfig
@@ -103,40 +82,6 @@ struct CodeLayout
 };
 
 /**
- * Complete architectural state of a @ref Machine at one point in a
- * run: predictor tables, cache tag/stamp/MRU arrays, per-method slot
- * attribution, code-fetch cursor (including `lastFetchLine_`), branch
- * profiles, and interval bookkeeping. Every component is a plain
- * value copy, so snapshots are self-contained and can be restored
- * into any machine built with the same @ref MachineConfig.
- *
- * Configuration pointers (FDO hints, code layout) are not part of the
- * snapshot: they describe the experiment, not the machine's learned
- * state, and the restoring machine keeps its own.
- */
-struct MachineSnapshot
-{
-    MemoryHierarchy hierarchy;
-    BranchPredictor predictor;
-    std::vector<SlotCounts> methods;
-    SlotCounts total;
-    std::uint32_t method = 0;
-    std::uint64_t stableKey = 0;
-    std::uint64_t codeBase = 0;
-    std::uint32_t codeBytes = 4096;
-    std::uint32_t codeCursor = 0;
-    std::uint64_t retired = 0;
-    std::uint64_t lastFetchLine = ~0ULL;
-    std::uint32_t fastCodeBytes = 0;
-    bool profiling = false;
-    FlatKeyMap<SiteProfile> profiles;
-    std::uint64_t intervalUops = 0;
-    std::uint64_t nextBoundary = 0;
-    SlotCounts lastSnapshot;
-    std::vector<SlotCounts> intervals;
-};
-
-/**
  * The top-down slot-accounting machine.
  *
  * Benchmarks report micro-ops through the narrow API below; the machine
@@ -176,9 +121,8 @@ class Machine
      *
      * Hot path: three fused per-category adds into the current method
      * and the running total, then code-footprint advance. Interval
-     * recording and trace capture (both off in normal characterization
-     * runs) divert to cold out-of-line paths behind a single fused
-     * flag test.
+     * recording (off in normal characterization runs) diverts to a
+     * cold out-of-line path behind a single flag test.
      */
     void
     ops(OpKind k, std::uint64_t n)
@@ -186,7 +130,7 @@ class Machine
         if (n == 0)
             return;
         if (divert_) {
-            opsDiverted(k, n);
+            opsWithIntervals(k, n);
             return;
         }
         account(k, n);
@@ -220,62 +164,16 @@ class Machine
     void
     call()
     {
-        if (capture_) {
-            captureCall();
-            return;
-        }
         ops(OpKind::Call, 1);
         chargeFrontend(config_.callFrontend);
     }
 
     /**
-     * Record every subsequent API call into @p trace instead of
-     * simulating it (nullptr returns to normal simulation). While
-     * capturing, only @ref retiredOps advances — predictor, caches,
-     * and slot attribution stay untouched — so a capture run costs
-     * roughly the benchmark's own compute plus an append per call.
-     * Replaying the trace into a fresh machine reproduces a direct
-     * run's outputs bit-identically (see UopTrace).
-     *
-     * Must be enabled on a fresh machine before any ops are reported,
-     * and is mutually exclusive with interval recording; @ref reset
-     * clears capture mode.
-     */
-    void captureTo(UopTrace *trace);
-
-    /**
-     * Replay trace records [@p first, @p last) through the block-
-     * batched kernel: records are consumed in fixed-size blocks whose
-     * hashable operands (branch site keys, indirect target mixes) are
-     * precomputed in dense sweeps before an in-order execute pass that
-     * performs the exact scalar operation sequence — outputs are
-     * bit-identical to `UopTrace::replay` by construction. Falls back
-     * to the scalar replay loop (and counts the blocks as fallbacks in
-     * @ref batchCounters) when this machine is capturing or recording
-     * intervals, or when `ALBERTA_NO_BATCH` is set and non-zero in the
-     * environment.
-     */
-    void replayBatched(const UopTrace &trace, std::size_t first,
-                       std::size_t last);
-
-    /** Copy the complete architectural state (see MachineSnapshot). */
-    MachineSnapshot snapshot() const;
-
-    /**
-     * Adopt the state in @p snap, as if this machine had performed the
-     * snapshotted machine's history itself. The machine must have been
-     * built with the same MachineConfig; FDO hint/layout installation
-     * is configuration and is kept, not overwritten. Not available
-     * while capturing.
-     */
-    void restore(const MachineSnapshot &snap);
-
-    /**
-     * Order-sensitive digest over the complete architectural state —
-     * everything @ref snapshot captures. Equal digests mean the two
+     * Order-sensitive digest over the complete architectural state:
+     * predictor, caches, slot attribution, code-fetch cursor, branch
+     * profiles and interval bookkeeping. Equal digests mean the two
      * machines produce identical outputs for any identical future
-     * call sequence; used to verify reset and snapshot/restore
-     * completeness.
+     * call sequence; used to verify reset completeness.
      */
     std::uint64_t stateDigest() const;
 
@@ -386,10 +284,6 @@ class Machine
     void
     memory(OpKind kind, std::uint64_t addr)
     {
-        if (capture_) {
-            captureMemory(kind, addr);
-            return;
-        }
         ops(kind, 1);
         const double extra = hierarchy_.data(addr);
         if (extra > 0.0) {
@@ -416,19 +310,8 @@ class Machine
     }
 
     void advanceCodeSlow(std::uint64_t bytes);
+    /** Cold ops() tail while interval recording is on. */
     void opsWithIntervals(OpKind k, std::uint64_t n);
-
-    /** Cold ops() tail shared by interval recording and capture. */
-    void opsDiverted(OpKind k, std::uint64_t n);
-    void captureMemory(OpKind kind, std::uint64_t addr);
-    void captureCall();
-
-    /** Keep the fused ops() divert flag in sync with its sources. */
-    void
-    updateDivert()
-    {
-        divert_ = intervalUops_ != 0 || capture_ != nullptr;
-    }
 
     MachineConfig config_;
     MemoryHierarchy hierarchy_;
@@ -461,15 +344,9 @@ class Machine
     SlotCounts lastSnapshot_;
     std::vector<SlotCounts> intervals_;
 
-    /** Capture sink (nullptr = simulate normally). */
-    UopTrace *capture_ = nullptr;
-    /** True when ops() must leave the fast path (intervals or
-     * capture); kept in sync by @ref updateDivert. */
+    /** True when ops() must leave the fast path (interval recording
+     * on); set by @ref recordIntervals. */
     bool divert_ = false;
-
-    /** The batched replay kernel mirrors the accumulator fields into
-     * locals for the duration of a replay range (see batched.cc). */
-    friend class BatchedKernel;
 };
 
 } // namespace alberta::topdown

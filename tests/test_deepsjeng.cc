@@ -38,10 +38,17 @@ TEST(Board, RejectsBadFen)
 /** Standard perft counts: the strongest movegen correctness check. */
 struct PerftCase
 {
+    const char *position;
     const char *fen;
     int depth;
     std::uint64_t nodes;
 };
+
+/** Names each case by value, so test names are the same in every build. */
+void PrintTo(const PerftCase &c, std::ostream *os)
+{
+    *os << c.position << " depth " << c.depth;
+}
 
 class Perft : public ::testing::TestWithParam<PerftCase>
 {
@@ -49,7 +56,7 @@ class Perft : public ::testing::TestWithParam<PerftCase>
 
 TEST_P(Perft, MatchesKnownCounts)
 {
-    const auto &[fen, depth, nodes] = GetParam();
+    const auto &[position, fen, depth, nodes] = GetParam();
     Board b = Board::fromFen(fen);
     EXPECT_EQ(b.perft(depth), nodes);
 }
@@ -57,35 +64,44 @@ TEST_P(Perft, MatchesKnownCounts)
 INSTANTIATE_TEST_SUITE_P(
     Known, Perft,
     ::testing::Values(
-        PerftCase{"rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
+        PerftCase{"startpos",
+                  "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
                   "- 0 1",
                   1, 20},
-        PerftCase{"rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
+        PerftCase{"startpos",
+                  "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
                   "- 0 1",
                   2, 400},
-        PerftCase{"rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
+        PerftCase{"startpos",
+                  "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
                   "- 0 1",
                   3, 8902},
-        PerftCase{"rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
+        PerftCase{"startpos",
+                  "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq "
                   "- 0 1",
                   4, 197281},
         // Kiwipete: exercises castling, promotions, en passant, pins.
-        PerftCase{"r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
+        PerftCase{"kiwipete",
+                  "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
                   "R3K2R w KQkq - 0 1",
                   1, 48},
-        PerftCase{"r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
+        PerftCase{"kiwipete",
+                  "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
                   "R3K2R w KQkq - 0 1",
                   2, 2039},
-        PerftCase{"r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
+        PerftCase{"kiwipete",
+                  "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/"
                   "R3K2R w KQkq - 0 1",
                   3, 97862},
         // Position 3 from the CPW perft suite: en-passant pins.
-        PerftCase{"8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1", 1, 14},
-        PerftCase{"8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1", 2, 191},
-        PerftCase{"8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1", 3,
-                  2812},
-        PerftCase{"8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1", 4,
-                  43238}));
+        PerftCase{"cpw3", "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+                  1, 14},
+        PerftCase{"cpw3", "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+                  2, 191},
+        PerftCase{"cpw3", "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+                  3, 2812},
+        PerftCase{"cpw3", "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+                  4, 43238}));
 
 TEST(Board, MakeUnmakeRestoresHashAndFen)
 {

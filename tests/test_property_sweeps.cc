@@ -30,6 +30,14 @@ struct XzCase
     std::size_t bytes;
 };
 
+/** Names each case by value, so test names are the same in every build. */
+void PrintTo(const XzCase &c, std::ostream *os)
+{
+    static const char *const kinds[] = {"text", "log", "binary", "random",
+                                        "repeated"};
+    *os << kinds[static_cast<int>(c.kind)] << " " << c.bytes << " bytes";
+}
+
 class XzRoundTrip : public ::testing::TestWithParam<XzCase>
 {
 };
@@ -116,6 +124,15 @@ struct LbmCase
     double size;
     lbm::CollisionModel model;
 };
+
+void PrintTo(const LbmCase &c, std::ostream *os)
+{
+    static const char *const shapes[] = {"sphere", "box", "cylinder",
+                                         "blobs"};
+    static const char *const models[] = {"bgk", "trt"};
+    *os << shapes[static_cast<int>(c.shape)] << " " << c.size << " "
+        << models[static_cast<int>(c.model)];
+}
 
 class LbmConservation : public ::testing::TestWithParam<LbmCase>
 {

@@ -212,7 +212,7 @@ TEST(Scheduler, ColdLedgerOrdersByCostHint)
     const std::vector<std::string> expected = {"huge", "medium",
                                                "small", "hintless"};
     EXPECT_EQ(ran, expected);
-    EXPECT_EQ(stats.waves, 1u);
+    EXPECT_EQ(stats.dispatched, 4u);
     // The batch calibrated a seconds-per-unit rate from the hinted
     // tasks' measured times.
     EXPECT_GT(ledger.secondsPerUnit(), 0.0);
@@ -247,50 +247,6 @@ TEST(Scheduler, MeasuredSecondsOverrideHints)
     // 1e9 units * 1e-8 s/unit = 10 s expected > 5 s measured.
     EXPECT_EQ(ran.front(), "big-hint");
     EXPECT_EQ(ran.back(), "was-slow");
-}
-
-/** Expansion waves: a task can return follow-up tasks which the
- * scheduler dispatches in the next wave, re-sorted longest-first
- * among themselves. */
-TEST(Scheduler, ExpansionWavesRunFollowUpsLongestFirst)
-{
-    runtime::CostLedger ledger;
-    runtime::Executor executor(1);
-    runtime::Scheduler scheduler(&executor, &ledger);
-
-    std::vector<std::string> ran;
-    const auto leaf = [&ran](const std::string &key, double hint) {
-        runtime::SuiteTask t;
-        t.costKey = key;
-        t.costHint = hint;
-        t.run = [&ran, key](obs::Span &) { ran.push_back(key); };
-        return t;
-    };
-    runtime::SuiteTask parent;
-    parent.costKey = "parent";
-    parent.costHint = 30e6;
-    parent.expand = [&](obs::Span &) {
-        ran.emplace_back("parent");
-        std::vector<runtime::SuiteTask> follow;
-        follow.push_back(leaf("child-small", 1e6));
-        follow.push_back(leaf("child-big", 20e6));
-        return follow;
-    };
-    std::vector<runtime::SuiteTask> tasks;
-    tasks.push_back(std::move(parent));
-    tasks.push_back(leaf("plain", 2e6));
-    const auto stats = scheduler.run(std::move(tasks));
-
-    // Wave 1 runs parent (30M) then plain (2M); wave 2 runs the
-    // follow-ups re-sorted longest-first.
-    const std::vector<std::string> expected = {
-        "parent", "plain", "child-big", "child-small"};
-    EXPECT_EQ(ran, expected);
-    EXPECT_EQ(stats.waves, 2u);
-    EXPECT_EQ(stats.expanded, 1u);
-    EXPECT_EQ(stats.dispatched, 4u);
-    // Follow-up keys were measured into the ledger like any task.
-    EXPECT_GT(ledger.expectedSeconds("child-big"), 0.0);
 }
 
 /** The tentpole guarantee: one global longest-first batch across the
@@ -385,48 +341,6 @@ TEST(SuiteScheduler, LedgerPersistsAcrossEngines)
                   "505.mcf_r/" +
                   benchmarks[0]->workloads().front().name),
               0.0);
-}
-
-/** Segmented suite runs go through the scheduler's expansion waves
- * (record task -> replay tasks -> splice) and land within the pinned
- * splice tolerance of the exact serial pass; checksums and uop counts
- * stay exact. */
-TEST(SuiteScheduler, SegmentedSuiteWithinSpliceBound)
-{
-    std::vector<std::unique_ptr<runtime::Benchmark>> benchmarks;
-    benchmarks.push_back(core::makeBenchmark("544.nab_r"));
-
-    core::RunRequest serialRequest;
-    serialRequest.jobs = 1;
-    serialRequest.refrateRepetitions = 1;
-    const auto exact =
-        core::characterize(*benchmarks[0], serialRequest);
-
-    runtime::Engine engine(4);
-    core::RunRequest request;
-    request.refrateRepetitions = 1;
-    request.segments = 4;
-    const auto suite =
-        core::characterizeSuite(benchmarks, request, &engine);
-    ASSERT_EQ(suite.size(), 1u);
-    const auto &spliced = suite[0];
-
-    ASSERT_EQ(spliced.workloadNames, exact.workloadNames);
-    // Checksums and retired-uop counts come from the record pass and
-    // are exact by construction.
-    EXPECT_EQ(spliced.checksumPerWorkload, exact.checksumPerWorkload);
-    for (std::size_t i = 0; i < exact.topdownPerWorkload.size(); ++i) {
-        const auto x = exact.topdownPerWorkload[i].asArray();
-        const auto y = spliced.topdownPerWorkload[i].asArray();
-        for (std::size_t k = 0; k < x.size(); ++k)
-            EXPECT_NEAR(x[k], y[k], 1e-3)
-                << exact.workloadNames[i] << " ratio " << k;
-    }
-
-    // The expansion machinery actually fired: at least one record
-    // task returned replay follow-ups, taking a second wave.
-    EXPECT_GE(engine.metrics().counter("scheduler.waves").value(),
-              2u);
 }
 
 } // namespace

@@ -179,8 +179,9 @@ TEST(Protocol, RequestLineRoundTrip)
     core::RunRequest request;
     request.kind = "characterize";
     request.benchmark = "505.mcf_r";
-    request.segments = 4;
-    request.batched = true;
+    request.refrateRepetitions = 2;
+    request.includeTest = false;
+    request.jobs = 4;
     const std::string line = "{\"op\":\"run\",\"id\":41,\"run\":" +
                              request.toJson() + "}";
     const serve::WireRequest wire = serve::parseRequestLine(line);
@@ -188,12 +189,34 @@ TEST(Protocol, RequestLineRoundTrip)
     EXPECT_EQ(wire.id, 41u);
     EXPECT_EQ(wire.run.kind, "characterize");
     EXPECT_EQ(wire.run.benchmark, "505.mcf_r");
-    EXPECT_EQ(wire.run.segments, 4);
-    EXPECT_TRUE(wire.run.batched);
+    EXPECT_EQ(wire.run.refrateRepetitions, 2);
+    EXPECT_FALSE(wire.run.includeTest);
+    EXPECT_EQ(wire.run.jobs, 4);
     // RunRequest round-trips through its own JSON.
     EXPECT_EQ(core::RunRequest::fromJsonText(request.toJson())
                   .toJson(),
               request.toJson());
+}
+
+/** Older clients serialize the removed segment/batched fields at
+ * their exact-path values on every line; such a line (here a default
+ * suite request) still parses, to the same request as today's. */
+TEST(Protocol, OlderClientDefaultLineParsesToDefaultRequest)
+{
+    const std::string older =
+        "{\"kind\":\"suite\",\"benchmark\":\"\","
+        "\"workload\":\"\",\"refrate_repetitions\":3,"
+        "\"include_test\":true,\"jobs\":1,\"segments\":1,"
+        "\"segment_warmup_uops\":1000000,"
+        "\"segment_target_uops\":16000000,\"batched\":false}";
+    const core::RunRequest parsed =
+        core::RunRequest::fromJsonText(older);
+    core::RunRequest expected;
+    expected.kind = "suite";
+    EXPECT_EQ(parsed.toJson(), expected.toJson());
+    // The removed keys are no longer emitted.
+    EXPECT_EQ(parsed.toJson().find("segment"), std::string::npos);
+    EXPECT_EQ(parsed.toJson().find("batched"), std::string::npos);
 }
 
 TEST(Protocol, SlashShorthandAndControlOps)
@@ -876,6 +899,47 @@ TEST(ServeFuzz, UnknownPriorityAndDeadlineValuesAreRejectedInBand)
         "{\"op\":\"run\",\"id\":6,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
         "\"priority\":100,\"deadline_ms\":864000000}}");
+    const serve::WireResponse ok =
+        serve::parseResponseLine(client.recvLine());
+    EXPECT_TRUE(ok.result.ok) << ok.result.error;
+}
+
+/** Requests for the removed segment-parallel or batched execution
+ * modes are answered with an error naming the removed feature, and
+ * the connection keeps serving. */
+TEST(ServeFuzz, RemovedExecutionModesAreRejectedInBand)
+{
+    const std::string socket = freshPath("removed.sock");
+    ServerFixture server(serverOptions(socket));
+    Client client(socket);
+
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"{\"op\":\"run\",\"id\":1,\"run\":{\"kind\":\"suite\","
+         "\"segments\":4}}",
+         "segment parallelism was removed"},
+        {"{\"op\":\"run\",\"id\":2,\"run\":{\"kind\":\"suite\","
+         "\"segments\":0}}",
+         "segment parallelism was removed"},
+        {"{\"op\":\"run\",\"id\":3,\"run\":{\"kind\":\"suite\","
+         "\"batched\":true}}",
+         "batched replay path was removed"},
+    };
+    for (const auto &[line, message] : bad) {
+        client.sendLine(line);
+        const serve::WireResponse wire =
+            serve::parseResponseLine(client.recvLine());
+        EXPECT_FALSE(wire.result.ok) << line;
+        EXPECT_NE(wire.result.error.find(message), std::string::npos)
+            << wire.result.error;
+    }
+    // The connection still works, and exact-path values are served.
+    client.sendLine("/ping");
+    EXPECT_TRUE(serve::parseResponseLine(client.recvLine())
+                    .result.ok);
+    client.sendLine(
+        "{\"op\":\"run\",\"id\":4,\"run\":{\"kind\":\"run\","
+        "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
+        "\"segments\":1,\"batched\":false}}");
     const serve::WireResponse ok =
         serve::parseResponseLine(client.recvLine());
     EXPECT_TRUE(ok.result.ok) << ok.result.error;

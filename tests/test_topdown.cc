@@ -7,7 +7,6 @@
 #include "topdown/branch.h"
 #include "topdown/cache.h"
 #include "topdown/machine.h"
-#include "topdown/trace.h"
 
 namespace {
 
@@ -552,11 +551,10 @@ INSTANTIATE_TEST_SUITE_P(Widths, MachineWidth,
                          ::testing::Values(1, 2, 4, 6, 8));
 
 // ---------------------------------------------------------------------
-// Architectural-state completeness: reset, snapshot/restore, and trace
-// capture/replay, each exercised across all five bench_machine
-// scenarios (the canonical mix of every machine fast path). The state
-// digest covers everything snapshot() copies, so these tests fail if a
-// new piece of machine state is added without extending reset/snapshot.
+// Architectural-state completeness: reset, exercised across all five
+// bench_machine scenarios (the canonical mix of every machine fast
+// path). The state digest covers every piece of machine state, so this
+// test fails if one is added without extending reset.
 
 /** Every scenario leaves distinctive state; reset must erase all of
  * it, leaving the machine digest-identical to a fresh instance. */
@@ -572,80 +570,6 @@ TEST(MachineState, ResetIsBitIdenticalToFreshAcrossAllScenarios)
         m.reset();
         EXPECT_EQ(m.stateDigest(), freshDigest) << scenario.name;
     }
-}
-
-/** Restoring a snapshot into a fresh machine reproduces the source
- * machine's complete state, and the two machines stay digest-identical
- * through further identical activity. */
-TEST(MachineState, SnapshotRestoreRoundTripsAcrossAllScenarios)
-{
-    for (const auto &scenario : alberta::bench::kMachineScenarios) {
-        Machine source;
-        source.setMethod(1, 4096, alberta::support::mix64(1));
-        scenario.run(source, 1, nullptr, 0);
-
-        Machine copy;
-        copy.restore(source.snapshot());
-        EXPECT_EQ(copy.stateDigest(), source.stateDigest())
-            << scenario.name;
-
-        // Equal digests must mean equal future behaviour: drive both
-        // machines through another scenario and compare again.
-        alberta::bench::scenarioMixed(source, 1, nullptr, 0);
-        alberta::bench::scenarioMixed(copy, 1, nullptr, 0);
-        EXPECT_EQ(copy.stateDigest(), source.stateDigest())
-            << scenario.name;
-        EXPECT_EQ(copy.retiredOps(), source.retiredOps())
-            << scenario.name;
-    }
-}
-
-/** Capturing a scenario to a trace and replaying it into a fresh
- * machine reproduces the direct run's complete state bit-identically. */
-TEST(MachineState, TraceReplayIsBitIdenticalAcrossAllScenarios)
-{
-    for (const auto &scenario : alberta::bench::kMachineScenarios) {
-        Machine direct;
-        direct.setMethod(1, 4096, alberta::support::mix64(1));
-        scenario.run(direct, 1, nullptr, 0);
-
-        UopTrace trace;
-        Machine recorder;
-        recorder.captureTo(&trace);
-        recorder.setMethod(1, 4096, alberta::support::mix64(1));
-        scenario.run(recorder, 1, nullptr, 0);
-        EXPECT_EQ(recorder.retiredOps(), direct.retiredOps())
-            << scenario.name;
-        EXPECT_EQ(trace.totalUops(), direct.retiredOps())
-            << scenario.name;
-
-        Machine replayed;
-        trace.replayAll(replayed);
-        EXPECT_EQ(replayed.stateDigest(), direct.stateDigest())
-            << scenario.name;
-    }
-}
-
-/** Splitting a replay at an arbitrary record and handing state across
- * the cut via snapshot/restore matches an unsplit replay. */
-TEST(MachineState, SplitReplayWithHandoffMatchesUnsplitReplay)
-{
-    UopTrace trace;
-    Machine recorder;
-    recorder.captureTo(&trace);
-    recorder.setMethod(1, 4096, alberta::support::mix64(1));
-    alberta::bench::scenarioMixed(recorder, 1, nullptr, 0);
-
-    Machine whole;
-    trace.replayAll(whole);
-
-    const std::size_t cut = trace.records() / 3;
-    Machine first;
-    trace.replay(first, 0, cut);
-    Machine second;
-    second.restore(first.snapshot());
-    trace.replay(second, cut, trace.records());
-    EXPECT_EQ(second.stateDigest(), whole.stateDigest());
 }
 
 } // namespace
