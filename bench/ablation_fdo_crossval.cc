@@ -30,14 +30,12 @@ main()
                           "overstatement"});
 
     runtime::Engine engine;
-    fdo::CrossValidateOptions options;
-    options.engine = &engine;
     for (const char *name :
          {"505.mcf_r", "557.xz_r", "531.deepsjeng_r",
           "523.xalancbmk_r", "520.omnetpp_r", "548.exchange2_r"}) {
         const auto bm = core::makeBenchmark(name);
         const fdo::CrossValidation cv =
-            fdo::crossValidate(*bm, "train", options);
+            fdo::crossValidate(*bm, "train", engine);
         table.addRow(
             {name, support::formatFixed(cv.selfSpeedup, 4),
              support::formatFixed(cv.refSpeedup, 4),

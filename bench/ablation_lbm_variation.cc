@@ -39,6 +39,8 @@ main()
                           "mu_g(V) all", "mu_g(V) floored 1%",
                           "mu_g(V) w/o s"});
 
+    runtime::Engine engine(1);
+
     for (const char *name :
          {"519.lbm_r", "507.cactuBSSN_r", "557.xz_r",
           "531.deepsjeng_r"}) {
@@ -46,7 +48,7 @@ main()
         core::RunRequest request;
         request.refrateRepetitions = 1;
         const core::Characterization c =
-            core::characterize(*bm, request);
+            core::characterize(*bm, request, engine);
 
         // Recompute with a 1% floor on bad speculation.
         const stats::TopdownSummary floored = stats::summarizeTopdown(

@@ -21,7 +21,7 @@ plotBenchmark(const std::string &name,
     core::RunRequest request;
     request.refrateRepetitions = 1;
     const core::Characterization c =
-        core::characterize(*bm, request, &engine);
+        core::characterize(*bm, request, engine);
 
     std::cout << "\n" << name << " (Figure 1 series)\n";
     support::Table table(

@@ -23,7 +23,7 @@ plotCoverage(const std::string &name,
     core::RunRequest request;
     request.refrateRepetitions = 1;
     const core::Characterization c =
-        core::characterize(*bm, request, &engine);
+        core::characterize(*bm, request, engine);
 
     std::cout << "\n" << name << " (Figure 2 series)\n";
     std::vector<std::string> header = {"workload"};

@@ -22,6 +22,7 @@ main()
                  "behaviour features\n(Eeckhout/Phansalkar-style "
                  "analysis from the paper's Section VI).\n\n";
 
+    runtime::Engine engine(1);
     std::vector<std::string> names;
     stats::Matrix features;
     for (const auto &name : core::table2Names()) {
@@ -29,7 +30,7 @@ main()
         core::RunRequest request;
         request.refrateRepetitions = 1;
         const core::Characterization c =
-            core::characterize(*bm, request);
+            core::characterize(*bm, request, engine);
         names.push_back(name);
         features.push_back({
             c.topdown.frontend.mean,

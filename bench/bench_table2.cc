@@ -14,7 +14,7 @@
  * The suite is characterized four times to exercise and track the
  * execution engine:
  *
- *   1. serial baseline      per-benchmark loop, jobs=1, no cache
+ *   1. serial baseline      per-benchmark loop, jobs=1, cold cache
  *   2. suite-scheduled cold characterizeTable2 through one global
  *                           longest-first batch, empty memory cache,
  *                           cold disk cache
@@ -31,8 +31,8 @@
  *   bench_table2 [--jobs N] [--json PATH] [--cache-dir DIR]
  *
  * Without --cache-dir a temporary directory is used and removed on
- * exit; with it, the store (results + cost ledger) persists so later
- * invocations start warm.
+ * exit; with it, the result store persists so later invocations start
+ * warm.
  */
 #include <algorithm>
 #include <bit>
@@ -55,7 +55,7 @@ namespace {
 
 using namespace alberta;
 
-/** The pre-scheduler code path: one benchmark at a time, serially.
+/** The serial baseline: one benchmark at a time on a one-job engine.
  * When @p perBenchSeconds is non-null it receives each benchmark's
  * wall seconds in table order. */
 std::vector<core::Characterization>
@@ -63,11 +63,12 @@ characterizePerBenchmark(const core::RunRequest &request,
                          const char *label,
                          std::vector<double> *perBenchSeconds = nullptr)
 {
+    runtime::Engine engine(1);
     std::vector<core::Characterization> out;
     for (const auto &name : core::table2Names()) {
         const auto start = std::chrono::steady_clock::now();
         const auto bm = core::makeBenchmark(name);
-        out.push_back(core::characterize(*bm, request));
+        out.push_back(core::characterize(*bm, request, engine));
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -185,12 +186,11 @@ main(int argc, char **argv)
                  "(Eq. 5), and refrate times for the Alberta "
                  "workload sets.\n\n";
 
-    // 1. Serial baseline: the pre-scheduler code path. Per-benchmark
-    // wall seconds double as the longest-chain baseline.
+    // 1. Serial baseline: one benchmark at a time on one job.
+    // Per-benchmark wall seconds double as the longest-chain baseline.
     std::vector<core::Characterization> serial;
     std::vector<double> serialPerBench;
     core::RunRequest serialRequest;
-    serialRequest.jobs = 1;
     const double serialSeconds = timeSuite(
         serial,
         [&] {
@@ -201,8 +201,7 @@ main(int argc, char **argv)
 
     // 2. Suite-scheduled, cold: every (benchmark, workload) run across
     // all 15 benchmarks in one longest-first Executor batch, memory
-    // and disk caches both empty. This pass also seeds the disk store
-    // and the cost ledger.
+    // and disk caches both empty. This pass also seeds the disk store.
     runtime::Engine engine = runtime::Engine::Builder()
                                  .jobs(jobs)
                                  .cacheDir(cacheDir)
@@ -211,7 +210,7 @@ main(int argc, char **argv)
     std::vector<core::Characterization> suiteCold;
     const double suiteColdSeconds = timeSuite(
         suiteCold,
-        [&] { return core::characterizeTable2(suiteRequest, &engine); },
+        [&] { return core::characterizeTable2(suiteRequest, engine); },
         "suite-scheduled cold");
 
     // 3. Same engine, warm memory cache: the memoized
@@ -219,7 +218,7 @@ main(int argc, char **argv)
     std::vector<core::Characterization> warm;
     const double warmSeconds = timeSuite(
         warm,
-        [&] { return core::characterizeTable2(suiteRequest, &engine); },
+        [&] { return core::characterizeTable2(suiteRequest, engine); },
         "warm (in-process)");
 
     // 4. Fresh engine, same directory: a second process's first run —
@@ -231,7 +230,7 @@ main(int argc, char **argv)
     std::vector<core::Characterization> diskWarm;
     const double diskWarmSeconds = timeSuite(
         diskWarm,
-        [&] { return core::characterizeTable2(suiteRequest, &second); },
+        [&] { return core::characterizeTable2(suiteRequest, second); },
         "disk-warm (fresh engine)");
 
     const bool identical = identicalModelOutputs(serial, suiteCold) &&

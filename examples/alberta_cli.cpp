@@ -17,8 +17,8 @@
  *                   ALBERTA_JOBS when set, else hardware concurrency)
  *   --format FMT    output format: text (default), md, or json
  *   --trace FILE    write a JSON-lines span trace of the run session
- *   --cache-dir DIR persist model results (and the scheduler's cost
- *                   ledger) under DIR so later *processes* start warm
+ *   --cache-dir DIR persist model results under DIR so later
+ *                   *processes* start warm
  *                   (default: ALBERTA_CACHE_DIR when set, else no
  *                   persistence)
  *   --metrics       print the end-of-run metrics table to stderr
@@ -131,7 +131,7 @@ cmdCluster(const std::string &name, std::size_t k,
     const auto bm = core::makeBenchmark(name);
     core::RunRequest request;
     request.refrateRepetitions = 1;
-    const auto c = core::characterize(*bm, request, &engine);
+    const auto c = core::characterize(*bm, request, engine);
     const auto clustering = core::clusterWorkloads(c, k);
     support::Table table({"cluster", "representative", "members"});
     for (std::size_t cl = 0; cl < clustering.medoids.size(); ++cl) {
@@ -169,7 +169,7 @@ printStats(runtime::Engine &engine)
               << metrics.counter("scheduler.dispatched").value()
               << " scheduler_steals_avoided="
               << metrics.counter("scheduler.steals_avoided").value()
-              << " ledger_entries=" << engine.ledger().size() << "\n";
+              << "\n";
     if (const runtime::PersistentCache *disk = engine.disk()) {
         std::cerr << "[stats] cache_dir=" << disk->dir()
                   << " disk_hits=" << disk->hits()

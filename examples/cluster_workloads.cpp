@@ -38,7 +38,7 @@ main(int argc, char **argv)
     core::RunRequest request;
     request.refrateRepetitions = 1;
     const core::Characterization c =
-        core::characterize(*benchmark, request, &engine);
+        core::characterize(*benchmark, request, engine);
 
     const core::Clustering clustering =
         core::clusterWorkloads(c, k);

@@ -45,10 +45,8 @@ main(int argc, char **argv)
     // Step 3: evaluate everywhere, sharing one run-session engine so
     // baseline model runs are memoized across evaluations.
     runtime::Engine engine;
-    fdo::CrossValidateOptions cvOptions;
-    cvOptions.engine = &engine;
     const fdo::CrossValidation cv =
-        fdo::crossValidate(*benchmark, trainName, cvOptions);
+        fdo::crossValidate(*benchmark, trainName, engine);
 
     support::Table table({"evaluation workload", "speedup"});
     table.addRow({trainName + "  (train==eval)",

@@ -46,10 +46,10 @@ main(int argc, char **argv)
 
     if (!only.empty()) {
         const auto benchmark = core::makeBenchmark(only);
-        writeReport(core::characterize(*benchmark, request, &engine));
+        writeReport(core::characterize(*benchmark, request, engine));
         return 0;
     }
-    for (const auto &c : core::characterizeTable2(request, &engine))
+    for (const auto &c : core::characterizeTable2(request, engine))
         writeReport(c);
     return 0;
 }

@@ -38,7 +38,7 @@ main(int argc, char **argv)
         core::RunRequest request;
         request.refrateRepetitions = 1;
         const core::Characterization c =
-            core::characterize(*bm, request, &engine);
+            core::characterize(*bm, request, engine);
         entries.push_back({name, c.topdown.muGV, c.coverage.muGM,
                            c.topdown.badspec.mean});
         std::cerr << "  characterized " << name << "\n";

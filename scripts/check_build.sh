@@ -65,16 +65,19 @@ for key in ("id", "parent", "name", "cat", "start_s", "dur_s"):
     if any(key not in s for s in spans):
         sys.exit(f"check_build: trace span missing key '{key}'")
 runs = [s for s in spans if s["cat"] in ("model_run", "refrate_rep")]
-roots = [s for s in spans if s["cat"] == "characterize"]
-if not roots:
-    sys.exit("check_build: no characterize root span in trace")
-workloads = roots[0].get("workloads", 0)
-if len({r["name"] for r in runs}) < workloads:
-    sys.exit(f"check_build: {len(runs)} run spans for "
-             f"{workloads} workloads")
+roots = [s for s in spans if s["cat"] == "characterize_suite"]
+if len(roots) != 1:
+    sys.exit(f"check_build: {len(roots)} characterize_suite root spans "
+             "in trace, expected 1")
 row = json.load(open(table2))
 if row[0]["benchmark"] != "505.mcf_r":
     sys.exit("check_build: bad JSON Table II row")
+workloads = row[0].get("workloads", 0)
+if workloads <= 0:
+    sys.exit("check_build: JSON Table II row has no workload count")
+if len({r["name"] for r in runs}) < workloads:
+    sys.exit(f"check_build: {len(runs)} run spans for "
+             f"{workloads} workloads")
 print(f"check_build: trace OK ({len(spans)} spans, "
       f"{workloads} workloads), JSON Table II row OK")
 EOF

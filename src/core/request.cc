@@ -35,8 +35,7 @@ RunRequest::toJson() const
        << ",\"benchmark\":" << jsonQuote(benchmark)
        << ",\"workload\":" << jsonQuote(workload)
        << ",\"refrate_repetitions\":" << refrateRepetitions
-       << ",\"include_test\":" << (includeTest ? "true" : "false")
-       << ",\"jobs\":" << jobs;
+       << ",\"include_test\":" << (includeTest ? "true" : "false");
     // priority/deadline_ms are omitted at their defaults, so
     // serialize -> parse -> serialize is byte-stable both ways.
     if (priority != 0)
@@ -64,7 +63,7 @@ RunRequest::fromJson(const support::JsonValue &value)
         else if (key == "include_test")
             request.includeTest = member.asBool();
         else if (key == "jobs")
-            request.jobs = static_cast<int>(member.asUint(1024));
+            member.asUint(1024); // older clients send this; ignored
         else if (key == "segments")
             support::fatalIf(member.asUint() != 1,
                              "request: segment parallelism was removed; "
@@ -114,7 +113,6 @@ RunRequest::validate() const
                      "request: kind 'run' requires a workload");
     support::fatalIf(refrateRepetitions < 1,
                      "request: refrate_repetitions must be >= 1");
-    support::fatalIf(jobs < 0, "request: jobs must be >= 0");
     support::fatalIf(priority < 0 || priority > kMaxPriority,
                      "request: priority must be in [0, ",
                      kMaxPriority, "], got ", priority);
@@ -210,12 +208,12 @@ execute(const RunRequest &request, runtime::Engine &engine,
 
     std::vector<Characterization> characterized;
     if (request.kind == "suite") {
-        characterized = characterizeTable2(request, &engine);
+        characterized = characterizeTable2(request, engine);
         result.payload = chompPayload(writer.table2(characterized));
     } else {
         const auto bm = makeBenchmark(request.benchmark);
         characterized.push_back(
-            characterize(*bm, request, &engine));
+            characterize(*bm, request, engine));
         result.payload = chompPayload(
             request.kind == "report"
                 ? writer.report(characterized.front())

@@ -43,7 +43,7 @@ struct Characterization;
 /**
  * A fully serializable run specification: what to run (kind,
  * benchmark, workload) plus the model configuration (repetitions,
- * included workloads, worker threads). This is the payload the daemon accepts
+ * included workloads). This is the payload the daemon accepts
  * over its socket and the options block every in-process entry point
  * takes; see @ref execute for the kinds.
  */
@@ -59,13 +59,6 @@ struct RunRequest
     int refrateRepetitions = 3;
     /** Count "test" among the characterized workloads. */
     bool includeTest = true;
-    /**
-     * Worker threads when no Engine is supplied to characterize():
-     * 1 = serial, 0 = runtime::Executor::defaultJobs(), N > 1 = a
-     * local pool of N. Ignored when an Engine is given (the daemon
-     * always runs requests through its shared engine's pool).
-     */
-    int jobs = 1;
     /**
      * Scheduling priority for the daemon's dispatcher pool:
      * [0, kMaxPriority], higher is served earlier across clients
@@ -100,7 +93,9 @@ struct RunRequest
      * still accepted at their exact-path values (`segments` 1,
      * `batched` false, any warm-up/target count) and ignored, so
      * lines from older clients keep parsing; any other value is
-     * fatal with a message naming the removed feature.
+     * fatal with a message naming the removed feature. `jobs`
+     * (the pool size is the Engine's) is likewise accepted in
+     * [0, 1024] and ignored.
      */
     static RunRequest fromJson(const support::JsonValue &value);
 

@@ -52,55 +52,46 @@ struct Characterization
 };
 
 /**
- * Run every workload of @p benchmark once through the model (plus
- * timed refrate repetitions) and summarize with the paper's
- * methodology.
+ * Characterize one benchmark: @ref characterizeSuite over a
+ * one-benchmark list, so a single row goes through the same
+ * scheduler and refrate timing rule as a whole-suite run.
+ */
+Characterization characterize(const runtime::Benchmark &benchmark,
+                              const RunRequest &request,
+                              runtime::Engine &engine);
+
+/**
+ * Run every workload of every benchmark in @p benchmarks once through
+ * the model (plus timed refrate repetitions) and summarize each with
+ * the paper's methodology; returned in @p benchmarks order.
  *
  * The run is configured by a @ref RunRequest — the same serializable
  * spec the CLI and the `alberta_serve` daemon construct — of which
  * only the model-configuration fields matter here (repetitions,
- * includeTest, jobs); the kind/benchmark/workload
- * routing fields are ignored because the benchmark is passed
- * directly.
+ * includeTest); the kind/benchmark/workload routing fields are
+ * ignored because the benchmarks are passed directly. @p engine
+ * supplies the worker pool, result cache (with optional disk
+ * backing), stats block, and observability layer.
  *
- * When @p engine is set it supplies the worker pool, result cache
- * (with optional disk backing), stats block, and observability layer
- * for the run and supersedes RunRequest::jobs. Model runs may
- * execute in parallel and are gathered in workload order; the timed
- * refrate repetitions always run on the calling thread after the
- * pool has drained so the wall-time column is measured on a quiesced
- * machine, with the first timed run doubling as refrate's model run.
- */
-Characterization characterize(const runtime::Benchmark &benchmark,
-                              const RunRequest &request = {},
-                              runtime::Engine *engine = nullptr);
-
-/**
- * Characterize a whole suite through the suite-level scheduler: every
- * (benchmark, workload) model run — refrate timed repetitions
- * included — across all of @p benchmarks is flattened into one global
- * task list and dispatched as a single Executor batch, ordered
- * longest-expected-first from the session's cost ledger. Results are
- * gathered into pre-sized per-benchmark slots, so every
- * Characterization is bit-identical to calling @ref characterize per
- * benchmark serially; returned in @p benchmarks order.
- *
- * Compared to the per-benchmark loop this removes the barrier between
- * benchmarks and lets refrate repetitions overlap other benchmarks'
- * untimed runs instead of quiescing the pool (refrate wall times are
- * therefore measured on a busy machine when jobs > 1 — model outputs
- * are unaffected).
+ * Every (benchmark, workload) model run — each timed refrate
+ * repetition included, as its own task — is flattened into one task
+ * list and dispatched through runtime::Scheduler as a single Executor
+ * batch, largest Benchmark::costHint first. Results are gathered into
+ * pre-sized per-benchmark slots, so every Characterization is
+ * bit-identical to a serial run at any pool size. Refrate
+ * repetitions overlap the other runs of the batch, so with more than
+ * one job their wall times are measured on a busy pool; model
+ * outputs are unaffected. The first timed repetition doubles as
+ * refrate's model run.
  */
 std::vector<Characterization> characterizeSuite(
     std::span<const std::unique_ptr<runtime::Benchmark>> benchmarks,
-    const RunRequest &request = {},
-    runtime::Engine *engine = nullptr);
+    const RunRequest &request, runtime::Engine &engine);
 
 /** @ref characterizeSuite over the 15 Table II benchmarks in row
  * order. */
 std::vector<Characterization>
-characterizeTable2(const RunRequest &request = {},
-                   runtime::Engine *engine = nullptr);
+characterizeTable2(const RunRequest &request, runtime::Engine &engine);
 
 /** One formatted Table II row (strings ready for printing). */
 std::vector<std::string> table2Row(const Characterization &c);

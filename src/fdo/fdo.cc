@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "profile/coverage.h"
 #include "support/check.h"
@@ -128,8 +127,7 @@ fdoSpeedup(const runtime::Benchmark &benchmark,
 
 CrossValidation
 crossValidate(const runtime::Benchmark &benchmark,
-              const std::string &trainName,
-              const CrossValidateOptions &options)
+              const std::string &trainName, runtime::Engine &engine)
 {
     const auto workloads = benchmark.workloads();
     const runtime::Workload train =
@@ -138,11 +136,8 @@ crossValidate(const runtime::Benchmark &benchmark,
     // The engine supplies the shared pool, baseline-run cache, and
     // tracing: one root span per cross-validation, one child span per
     // evaluated workload.
-    runtime::Engine *engine = options.engine;
-    runtime::Executor *executor =
-        engine ? &engine->executor() : nullptr;
-    runtime::ResultCache *cache = engine ? &engine->cache() : nullptr;
-    obs::Tracer *tracer = engine ? &engine->tracer() : nullptr;
+    runtime::ResultCache *cache = &engine.cache();
+    obs::Tracer *tracer = &engine.tracer();
 
     obs::Span root(tracer, benchmark.name(), "crossvalidate");
     root.note("train", trainName);
@@ -179,22 +174,15 @@ crossValidate(const runtime::Benchmark &benchmark,
 
     // Every evaluation (and the self-evaluation) is an independent
     // pair of model runs; fan them out and gather in workload order.
-    std::optional<runtime::Executor> local;
-    if (!executor) {
-        local.emplace(options.jobs);
-        executor = &*local;
-    }
     std::vector<double> speedups(evals.size());
-    executor->parallelFor(
+    engine.executor().parallelFor(
         evals.size() + 1, [&](std::size_t task) {
             if (task == evals.size())
                 cv.selfSpeedup = speedupOn(train);
             else
                 speedups[task] = speedupOn(*evals[task]);
         });
-    if (engine)
-        engine->metrics().counter("fdo.evaluations")
-            .add(evals.size() + 1);
+    engine.metrics().counter("fdo.evaluations").add(evals.size() + 1);
 
     double logSum = 0.0;
     cv.minCross = 1e30;

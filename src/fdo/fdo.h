@@ -105,30 +105,17 @@ struct CrossValidation
     double maxCross = 1.0;
 };
 
-/** Execution options for @ref crossValidate. */
-struct CrossValidateOptions
-{
-    /** Worker threads for the per-workload evaluations (1 = serial,
-     * 0 = runtime::Executor::defaultJobs()); ignored when @ref
-     * engine is set. */
-    int jobs = 1;
-    /** The run-session facade (pool + cache + tracing). The
-     * historical executor/cache raw-pointer pair has been removed;
-     * sessions are configured exclusively through here. */
-    runtime::Engine *engine = nullptr;
-};
-
 /**
- * The paper's prescribed experiment: train on "train", report both
- * the classic train->refrate number and the distribution across all
- * available (Alberta) workloads. Per-workload evaluations are
- * independent model runs, so they may execute in parallel; results
- * are gathered in workload order and are bit-identical to the serial
- * path.
+ * The paper's prescribed experiment: train on @p trainName, report
+ * both the classic train->refrate number and the distribution across
+ * all available (Alberta) workloads. Per-workload evaluations are
+ * independent model runs on @p engine's pool, with baseline runs
+ * memoized in its cache; results are gathered in workload order and
+ * are bit-identical to the serial path.
  */
 CrossValidation crossValidate(const runtime::Benchmark &benchmark,
-                              const std::string &trainName = "train",
-                              const CrossValidateOptions &options = {});
+                              const std::string &trainName,
+                              runtime::Engine &engine);
 
 } // namespace alberta::fdo
 

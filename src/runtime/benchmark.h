@@ -50,11 +50,11 @@ class Benchmark
 
     /**
      * Rough retired-uop estimate for @p workload, derived from its
-     * parameters without running anything. The suite scheduler uses
-     * it to order cold runs longest-first before any measured time
-     * exists (the CostLedger converts hints to seconds through its
-     * persisted calibration rate). Estimates need ranking power, not accuracy — being within a small factor
-     * is plenty. 0.0 means unknown (sorts as cheapest).
+     * parameters without running anything. The suite scheduler
+     * dispatches its tasks in descending hint order, so the longest
+     * runs start first. Estimates need ranking power, not accuracy —
+     * being within a small factor is plenty. 0.0 means unknown
+     * (sorts as cheapest).
      */
     virtual double
     costHint(const Workload &workload) const

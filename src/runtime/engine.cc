@@ -2,24 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 
 #include "support/check.h"
 
 namespace alberta::runtime {
-
-namespace {
-
-std::string
-ledgerPath(const std::string &cacheDir)
-{
-    if (cacheDir.empty())
-        return {}; // in-memory ledger
-    return (std::filesystem::path(cacheDir) / "cost_ledger.tsv")
-        .string();
-}
-
-} // namespace
 
 Engine::Engine(Config config)
     : sink_(std::move(config.sink)), tracePath_(config.tracePath),
@@ -27,8 +13,7 @@ Engine::Engine(Config config)
       executor_(config.jobs),
       disk_(cacheDir_.empty()
                 ? nullptr
-                : std::make_unique<PersistentCache>(cacheDir_)),
-      ledger_(ledgerPath(cacheDir_))
+                : std::make_unique<PersistentCache>(cacheDir_))
 {
     executor_.attachObservability(&tracer_, &metrics_);
     cache_.attachMetrics(&metrics_);
@@ -71,8 +56,6 @@ Engine::metricsSnapshot() const
     addGauge("executor.queue_seconds", es.queueSeconds);
     addGauge("executor.run_seconds", es.runSeconds);
     addCounter("cache.entries", cache_.size());
-    addGauge("scheduler.ledger_entries",
-             static_cast<double>(ledger_.size()));
     const ExecutorStats session = stats();
     addCounter("session.uops_retired", session.uopsRetired);
     addGauge("session.uops_per_second", session.uopsPerSecond());

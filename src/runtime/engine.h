@@ -3,9 +3,9 @@
  * The run-session facade: one object owning everything a
  * characterization session shares — the worker pool, the result cache,
  * the accumulated executor statistics, and the observability layer
- * (metrics registry + tracer). `core::characterize` and
- * `fdo::CrossValidateOptions` take a single `Engine*` instead of the
- * historical executor/cache/stats raw-pointer triple.
+ * (metrics registry + tracer). `core::characterize`,
+ * `core::characterizeSuite` and `fdo::crossValidate` all take an
+ * `Engine&`: there is no engine-less way to characterize.
  *
  * Construction is builder-style because the pool size and the trace
  * sink must be fixed before the members come up:
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/obs.h"
-#include "runtime/cost_ledger.h"
 #include "runtime/executor.h"
 #include "runtime/persistent_cache.h"
 #include "runtime/result_cache.h"
@@ -68,7 +67,7 @@ class Engine
     }
 
     /** Fold one run's executor-stats delta into the session total
-     * (thread-safe; called by core::characterize per run). */
+     * (thread-safe; called by core::characterizeSuite per call). */
     void
     mergeStats(const ExecutorStats &delta)
     {
@@ -81,12 +80,6 @@ class Engine
     /** On-disk result store backing the cache (nullptr when the
      * engine was built without a cache directory). */
     PersistentCache *disk() { return disk_.get(); }
-    /**
-     * Expected-cost ledger for the suite scheduler: persisted in the
-     * cache directory when one is set, in-memory otherwise (so warm
-     * in-process reruns still schedule longest-first).
-     */
-    CostLedger &ledger() { return ledger_; }
 
     int jobs() const { return executor_.jobs(); }
     bool tracing() const { return tracer_.enabled(); }
@@ -131,7 +124,6 @@ class Engine
     Executor executor_;
     std::unique_ptr<PersistentCache> disk_; //!< null = memory only
     ResultCache cache_;
-    CostLedger ledger_;
     mutable std::mutex statsMu_;
     ExecutorStats stats_; //!< guarded by statsMu_
 };
@@ -156,9 +148,8 @@ class Engine::Builder
 
     /**
      * Back the result cache with the on-disk store at @p dir (created
-     * if needed; "" disables persistence) and persist the scheduler's
-     * cost ledger alongside it. `build()` raises support::FatalError
-     * when the directory cannot be created.
+     * if needed; "" disables persistence). `build()` raises
+     * support::FatalError when the directory cannot be created.
      */
     Builder &
     cacheDir(const std::string &dir)

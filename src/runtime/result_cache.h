@@ -36,7 +36,7 @@ class PersistentCache;
 struct CachedRun
 {
     RunMeasurement measurement;      //!< deterministic model outputs
-    /** Wall times of quiesced timed repetitions (refrate only). */
+    /** Wall times of the timed repetitions (refrate only). */
     std::vector<double> timedSeconds;
 };
 

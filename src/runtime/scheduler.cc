@@ -8,31 +8,10 @@
 
 namespace alberta::runtime {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
+Scheduler::Scheduler(Executor &executor, obs::Tracer *tracer,
+                     obs::Registry *metrics)
+    : executor_(executor), tracer_(tracer)
 {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/**
- * Seconds-per-cost-unit prior used before the ledger has recorded a
- * calibration (roughly 100M modelled uops per second). Only relative
- * order matters for dispatch, so the prior just needs hint-bearing
- * tasks to rank plausibly against the few keys with measured seconds.
- */
-constexpr double kUncalibratedSecondsPerUnit = 1e-8;
-
-} // namespace
-
-Scheduler::Scheduler(Executor *executor, CostLedger *ledger,
-                     obs::Tracer *tracer, obs::Registry *metrics)
-    : executor_(executor), ledger_(ledger), tracer_(tracer)
-{
-    support::panicIf(!executor_, "scheduler: executor is required");
     if (metrics) {
         dispatchCounter_ = &metrics->counter("scheduler.dispatched");
         stealCounter_ = &metrics->counter("scheduler.steals_avoided");
@@ -42,6 +21,7 @@ Scheduler::Scheduler(Executor *executor, CostLedger *ledger,
 SchedulerStats
 Scheduler::run(std::vector<SuiteTask> tasks)
 {
+    using Clock = std::chrono::steady_clock;
     SchedulerStats stats;
     if (tasks.empty())
         return stats;
@@ -50,26 +30,13 @@ Scheduler::run(std::vector<SuiteTask> tasks)
     const std::uint64_t batchId = batch.id();
     const auto start = Clock::now();
 
-    double rate = ledger_ ? ledger_->secondsPerUnit() : 0.0;
-    if (rate <= 0.0)
-        rate = kUncalibratedSecondsPerUnit;
-
-    // Longest-expected-first order. Measured ledger seconds win; keys
-    // never timed fall back to their cost hint converted through the
-    // calibration rate. The sort is stable, so tasks with neither
-    // (expected 0.0) keep submission order and a fully cold hint-less
-    // run degrades to the natural sequence.
-    std::vector<double> expected(tasks.size(), 0.0);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const double known =
-            ledger_ ? ledger_->expectedSeconds(tasks[i].costKey) : 0.0;
-        expected[i] = known > 0.0 ? known : tasks[i].costHint * rate;
-    }
+    // Longest-hint-first order. The sort is stable, so tasks with
+    // equal hints — hintless ones included — keep submission order.
     std::vector<std::size_t> order(tasks.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return expected[a] > expected[b];
+                         return tasks[a].costHint > tasks[b].costHint;
                      });
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
         if (order[pos] > pos)
@@ -77,42 +44,23 @@ Scheduler::run(std::vector<SuiteTask> tasks)
     }
     stats.dispatched = tasks.size();
 
-    std::vector<double> taskSeconds(tasks.size(), 0.0);
-    executor_->parallelFor(tasks.size(), [&](std::size_t i) {
+    executor_.parallelFor(tasks.size(), [&](std::size_t i) {
         SuiteTask &task = tasks[order[i]];
         support::panicIf(!task.run,
-                         "scheduler: task has no work: " + task.costKey);
-        obs::Span span(tracer_, task.costKey, task.category, batchId);
-        const auto taskStart = Clock::now();
+                         "scheduler: task has no work: " + task.name);
+        obs::Span span(tracer_, task.name, task.category, batchId);
         task.run(span);
-        taskSeconds[order[i]] = secondsSince(taskStart);
     });
-
-    double calibrationSeconds = 0.0;
-    double calibrationUnits = 0.0;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (ledger_)
-            ledger_->record(tasks[i].costKey, taskSeconds[i]);
-        if (tasks[i].costHint > 0.0) {
-            calibrationSeconds += taskSeconds[i];
-            calibrationUnits += tasks[i].costHint;
-        }
-    }
 
     if (dispatchCounter_) {
         dispatchCounter_->add(stats.dispatched);
         stealCounter_->add(stats.stealsAvoided);
     }
-    stats.batchSeconds = secondsSince(start);
+    stats.batchSeconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
     batch.note("tasks", stats.dispatched);
     batch.note("reordered", stats.stealsAvoided);
     batch.note("seconds", stats.batchSeconds);
-
-    if (ledger_) {
-        ledger_->recordCalibration(calibrationSeconds,
-                                   calibrationUnits);
-        ledger_->save();
-    }
     return stats;
 }
 

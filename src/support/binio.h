@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal binary serialization helpers for on-disk artifacts (the
- * persistent result cache, cost ledger snapshots).
+ * persistent result cache).
  *
  * The format is little-endian, length-prefixed, and self-delimiting:
  * integers are fixed-width, doubles are bit-cast to 64-bit words so

@@ -102,7 +102,8 @@ TEST(ClusterWorkloads, GroupsABenchmarkByBehaviour)
     const auto bm = makeBenchmark("557.xz_r");
     RunRequest request;
     request.refrateRepetitions = 1;
-    const Characterization c = characterize(*bm, request);
+    runtime::Engine engine(1);
+    const Characterization c = characterize(*bm, request, engine);
     const Clustering clustering = clusterWorkloads(c, 3);
     ASSERT_EQ(clustering.assignment.size(),
               c.workloadNames.size());

@@ -71,7 +71,8 @@ TEST(Characterize, ProducesConsistentSummary)
     const auto bm = makeBenchmark("505.mcf_r");
     RunRequest request;
     request.refrateRepetitions = 2;
-    const Characterization c = characterize(*bm, request);
+    runtime::Engine engine(1);
+    const Characterization c = characterize(*bm, request, engine);
     EXPECT_EQ(c.benchmark, "505.mcf_r");
     EXPECT_EQ(c.workloadNames.size(), 7u);
     EXPECT_EQ(c.topdownPerWorkload.size(), 7u);
@@ -91,7 +92,8 @@ TEST(Characterize, RowFormattingMatchesHeader)
     const auto bm = makeBenchmark("505.mcf_r");
     RunRequest request;
     request.refrateRepetitions = 1;
-    const Characterization c = characterize(*bm, request);
+    runtime::Engine engine(1);
+    const Characterization c = characterize(*bm, request, engine);
     EXPECT_EQ(table2Row(c).size(), table2Header().size());
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the runtime::Engine facade: construction and builder
- * configuration, bit-identity of characterizations run through the
- * engine versus the bare serial path, bit-identity with tracing
+ * configuration, bit-identity of characterizations run through a
+ * pooled engine versus a one-job engine, bit-identity with tracing
  * enabled versus disabled, span coverage (at least one span per
  * workload), and the end-of-run metrics snapshot.
  */
@@ -82,9 +82,8 @@ TEST(Engine, BuilderCustomSinkEnablesTracing)
     EXPECT_NE(out.str().find("\"probe\""), std::string::npos);
 }
 
-/** The facade and the bare serial path must be one code path:
- * characterizations through either are bit-identical, and two
- * identically-configured sessions see identical work. */
+/** A pooled engine and a one-job engine must agree bit for bit, and
+ * two identically-configured sessions see identical work. */
 TEST(Engine, MatchesBareSerialPathBitForBit)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
@@ -92,17 +91,15 @@ TEST(Engine, MatchesBareSerialPathBitForBit)
     runtime::Engine engine(2);
     core::RunRequest request;
     request.refrateRepetitions = 2;
-    const auto a = core::characterize(*bm, request, &engine);
+    const auto a = core::characterize(*bm, request, engine);
 
-    core::RunRequest bare;
-    bare.jobs = 1;
-    bare.refrateRepetitions = 2;
-    const auto b = core::characterize(*bm, bare);
+    runtime::Engine serial(1);
+    const auto b = core::characterize(*bm, request, serial);
 
     expectSameModelOutputs(a, b);
 
     runtime::Engine twin(2);
-    const auto c = core::characterize(*bm, request, &twin);
+    const auto c = core::characterize(*bm, request, twin);
     expectSameModelOutputs(a, c);
     EXPECT_EQ(engine.stats().tasksRun, twin.stats().tasksRun);
     EXPECT_EQ(engine.stats().cacheMisses, twin.stats().cacheMisses);
@@ -117,7 +114,7 @@ TEST(Engine, TracedCharacterizationIsBitIdentical)
     runtime::Engine untraced(2);
     core::RunRequest request;
     request.refrateRepetitions = 1;
-    const auto base = core::characterize(*bm, request, &untraced);
+    const auto base = core::characterize(*bm, request, untraced);
 
     std::ostringstream out;
     runtime::Engine traced =
@@ -125,13 +122,19 @@ TEST(Engine, TracedCharacterizationIsBitIdentical)
             .jobs(2)
             .traceSink(std::make_unique<obs::JsonLinesSink>(out))
             .build();
-    const auto withTrace = core::characterize(*bm, request, &traced);
+    const auto withTrace = core::characterize(*bm, request, traced);
+    traced.flushTrace();
+    const std::size_t coldEnd = out.str().size();
+    // A warm second call replays refrate from the cache, which is
+    // where the suite path opens its cache_probe span.
+    const auto warm = core::characterize(*bm, request, traced);
     traced.flushTrace();
 
     expectSameModelOutputs(base, withTrace);
+    expectSameModelOutputs(base, warm);
 
     // Span coverage: at least one span per workload (model_run spans
-    // for the pool batch, refrate_rep spans for the timed runs).
+    // for the untimed runs, refrate_rep spans for the timed runs).
     const std::string trace = out.str();
     std::size_t spans = 0;
     for (std::size_t pos = trace.find("\"cat\":");
@@ -142,10 +145,10 @@ TEST(Engine, TracedCharacterizationIsBitIdentical)
     EXPECT_NE(trace.find("\"cat\":\"model_run\""), std::string::npos);
     EXPECT_NE(trace.find("\"cat\":\"refrate_rep\""),
               std::string::npos);
-    EXPECT_NE(trace.find("\"cat\":\"cache_probe\""),
+    EXPECT_NE(trace.find("\"cat\":\"cache_probe\"", coldEnd),
               std::string::npos);
     EXPECT_NE(trace.find("\"cat\":\"summarize\""), std::string::npos);
-    EXPECT_NE(trace.find("\"cat\":\"characterize\""),
+    EXPECT_NE(trace.find("\"cat\":\"characterize_suite\""),
               std::string::npos);
 }
 
@@ -155,8 +158,8 @@ TEST(Engine, MetricsSnapshotCoversSessionActivity)
     runtime::Engine engine(2);
     core::RunRequest request;
     request.refrateRepetitions = 1;
-    core::characterize(*bm, request, &engine);
-    core::characterize(*bm, request, &engine); // warm: cache hits
+    core::characterize(*bm, request, engine);
+    core::characterize(*bm, request, engine); // warm: cache hits
 
     const auto snapshot = engine.metricsSnapshot();
     const auto value = [&](const std::string &name) -> double {

@@ -120,15 +120,15 @@ TEST(ExecutorDeterminism, SerialAndParallelCharacterizationsMatch)
         const auto bm = core::makeBenchmark(name);
         core::RunRequest serial;
         serial.refrateRepetitions = 1;
-        serial.jobs = 1;
-        const auto base = core::characterize(*bm, serial);
+        runtime::Engine serialEngine(1);
+        const auto base = core::characterize(*bm, serial, serialEngine);
 
         for (const int jobs : {1, 2, 8}) {
             runtime::Engine engine(jobs);
             core::RunRequest request;
             request.refrateRepetitions = 1;
             const auto parallel =
-                core::characterize(*bm, request, &engine);
+                core::characterize(*bm, request, engine);
             expectSameModelOutputs(base, parallel);
         }
     }
@@ -180,14 +180,14 @@ TEST(ResultCache, RecharacterizationIsFullyMemoized)
     core::RunRequest request;
     request.refrateRepetitions = 2;
 
-    const auto cold = core::characterize(*bm, request, &engine);
+    const auto cold = core::characterize(*bm, request, engine);
     const auto &cache = engine.cache();
     const std::uint64_t coldMisses = cache.misses();
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(coldMisses, cold.workloadNames.size());
     EXPECT_EQ(cache.size(), cold.workloadNames.size());
 
-    const auto warm = core::characterize(*bm, request, &engine);
+    const auto warm = core::characterize(*bm, request, engine);
     EXPECT_EQ(cache.misses(), coldMisses); // no recomputation
     EXPECT_EQ(cache.hits(), warm.workloadNames.size());
 
@@ -204,15 +204,17 @@ TEST(RunRequest, StatsAccumulateAcrossRuns)
     core::RunRequest request;
     request.refrateRepetitions = 1;
 
-    const auto c = core::characterize(*bm, request, &engine);
+    const auto c = core::characterize(*bm, request, engine);
     // stats() is a locked snapshot; re-fetch after each run.
     const auto cold = engine.stats();
-    // Refrate is timed on the calling thread, not as a pool task.
-    EXPECT_EQ(cold.tasksRun, c.workloadNames.size() - 1);
+    // Every untimed workload is one pool task, and so is every timed
+    // refrate repetition.
+    EXPECT_EQ(cold.tasksRun, c.workloadNames.size() - 1 +
+                                 request.refrateRepetitions);
     EXPECT_EQ(cold.cacheMisses, c.workloadNames.size());
     EXPECT_EQ(cold.cacheHits, 0u);
 
-    core::characterize(*bm, request, &engine);
+    core::characterize(*bm, request, engine);
     EXPECT_EQ(engine.stats().cacheHits, c.workloadNames.size());
 }
 

@@ -90,7 +90,8 @@ TEST(Fdo, OptimizationPreservesOutputAndHelpsSelf)
 TEST(Fdo, CrossValidationProducesFullReport)
 {
     mcf::McfBenchmark bm;
-    const CrossValidation cv = crossValidate(bm, "test");
+    runtime::Engine engine(1);
+    const CrossValidation cv = crossValidate(bm, "test", engine);
     EXPECT_EQ(cv.benchmark, "505.mcf_r");
     EXPECT_EQ(cv.evalNames.size(), 6u); // 7 workloads minus train
     EXPECT_GT(cv.selfSpeedup, 0.9);

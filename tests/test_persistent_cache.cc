@@ -255,7 +255,7 @@ TEST(PersistentCache, SecondEngineOnSameDirectoryServesFromDisk)
         runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
     core::RunRequest request;
     request.refrateRepetitions = 2;
-    const auto cold = core::characterize(*bm, request, &first);
+    const auto cold = core::characterize(*bm, request, first);
     ASSERT_NE(first.disk(), nullptr);
     EXPECT_EQ(first.disk()->writes(), cold.workloadNames.size());
 
@@ -263,7 +263,7 @@ TEST(PersistentCache, SecondEngineOnSameDirectoryServesFromDisk)
     // model run is served from disk and outputs are bit-identical.
     runtime::Engine second =
         runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
-    const auto warm = core::characterize(*bm, request, &second);
+    const auto warm = core::characterize(*bm, request, second);
 
     ASSERT_EQ(cold.workloadNames, warm.workloadNames);
     EXPECT_EQ(cold.checksumPerWorkload, warm.checksumPerWorkload);
@@ -302,11 +302,11 @@ TEST(PersistentCache, ConcurrentEnginesRacingOverlappingWorkloads)
     core::Characterization fromA, fromB;
     std::thread ta([&] {
         const auto bm = core::makeBenchmark("557.xz_r");
-        fromA = core::characterize(*bm, request, &a);
+        fromA = core::characterize(*bm, request, a);
     });
     std::thread tb([&] {
         const auto bm = core::makeBenchmark("557.xz_r");
-        fromB = core::characterize(*bm, request, &b);
+        fromB = core::characterize(*bm, request, b);
     });
     ta.join();
     tb.join();
@@ -327,7 +327,7 @@ TEST(PersistentCache, ConcurrentEnginesRacingOverlappingWorkloads)
     runtime::Engine third =
         runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
     const auto bm = core::makeBenchmark("557.xz_r");
-    const auto warm = core::characterize(*bm, request, &third);
+    const auto warm = core::characterize(*bm, request, third);
     EXPECT_EQ(third.stats().cacheMisses, 0u);
     EXPECT_EQ(warm.checksumPerWorkload, fromA.checksumPerWorkload);
 }

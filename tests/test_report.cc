@@ -15,7 +15,8 @@ characterizeMcf()
         const auto bm = makeBenchmark("505.mcf_r");
         RunRequest request;
         request.refrateRepetitions = 2;
-        return characterize(*bm, request);
+        runtime::Engine engine(1);
+        return characterize(*bm, request, engine);
     }();
     return cached;
 }
@@ -58,8 +59,9 @@ TEST(Report, FlagsSmallMeanPathology)
     const auto lbm = makeBenchmark("519.lbm_r");
     RunRequest request;
     request.refrateRepetitions = 1;
+    runtime::Engine engine(1);
     const std::string lbmReport =
-        renderReport(characterize(*lbm, request));
+        renderReport(characterize(*lbm, request, engine));
     EXPECT_NE(lbmReport.find("Caveat"), std::string::npos);
 
     const std::string mcfReport = renderReport(characterizeMcf());

@@ -1,43 +1,48 @@
 /**
  * @file
- * Tests for the suite-level scheduler and its cost ledger: the
- * bit-identity of suite-scheduled characterizations against the
- * per-benchmark serial path, longest-expected-first dispatch order,
- * the steals-avoided accounting, and ledger persistence (EMA updates,
- * TSV round-trip, malformed-file tolerance).
+ * Tests for the suite-level scheduler: the bit-identity of
+ * suite-scheduled characterizations against one-benchmark serial
+ * runs, longest-hint-first dispatch order, the steals-avoided
+ * accounting, warm replay, and that a one-benchmark characterize
+ * goes through the same scheduler.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <unistd.h>
-
 #include <bit>
-#include <filesystem>
-#include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/suite.h"
-#include "runtime/cost_ledger.h"
 #include "runtime/scheduler.h"
 
 namespace {
 
 using namespace alberta;
-namespace fs = std::filesystem;
-
-std::string
-freshPath(const std::string &tag)
+/** Keeps every finished span (the scheduler's workers finish spans
+ * concurrently, so recording is locked). */
+class CollectSink : public obs::TraceSink
 {
-    static int counter = 0;
-    const fs::path path = fs::path(::testing::TempDir()) /
-                          ("alberta-" + tag + "-" +
-                           std::to_string(::getpid()) + "-" +
-                           std::to_string(counter++));
-    fs::remove_all(path);
-    return path.string();
-}
+  public:
+    void
+    record(const obs::SpanRecord &span) override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        spans_.push_back(span);
+    }
+
+    std::vector<obs::SpanRecord>
+    spans() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return spans_;
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::vector<obs::SpanRecord> spans_;
+};
 
 bool
 bitIdentical(double a, double b)
@@ -67,93 +72,26 @@ expectSameModelOutputs(const core::Characterization &a,
     EXPECT_TRUE(bitIdentical(a.coverage.muGM, b.coverage.muGM));
 }
 
-TEST(CostLedger, RecordsAdoptsThenSmoothes)
-{
-    runtime::CostLedger ledger;
-    EXPECT_EQ(ledger.expectedSeconds("a/refrate"), 0.0);
-    ledger.record("a/refrate", 4.0); // unknown key: adopt directly
-    EXPECT_EQ(ledger.expectedSeconds("a/refrate"), 4.0);
-    ledger.record("a/refrate", 2.0); // known key: EMA, alpha 0.5
-    EXPECT_EQ(ledger.expectedSeconds("a/refrate"), 3.0);
-    // Garbage measurements never poison the ledger.
-    ledger.record("a/refrate", -1.0);
-    ledger.record("a/refrate", std::nan(""));
-    EXPECT_EQ(ledger.expectedSeconds("a/refrate"), 3.0);
-    EXPECT_EQ(ledger.size(), 1u);
-}
-
-TEST(CostLedger, RoundTripsThroughItsFile)
-{
-    const std::string path = freshPath("ledger") + ".tsv";
-    {
-        runtime::CostLedger ledger(path);
-        ledger.record("505.mcf_r/refrate", 1.5);
-        ledger.record("557.xz_r/train", 0.25);
-        ledger.save();
-    }
-    runtime::CostLedger reloaded(path);
-    EXPECT_EQ(reloaded.size(), 2u);
-    EXPECT_EQ(reloaded.expectedSeconds("505.mcf_r/refrate"), 1.5);
-    EXPECT_EQ(reloaded.expectedSeconds("557.xz_r/train"), 0.25);
-    EXPECT_EQ(reloaded.expectedSeconds("unknown"), 0.0);
-}
-
-TEST(CostLedger, MalformedFileLoadsEmpty)
-{
-    const std::string path = freshPath("ledger-bad") + ".tsv";
-    {
-        std::ofstream out(path);
-        out << "not\tanumber\nmissing-tab\nx\t1.0\textra\n";
-    }
-    runtime::CostLedger ledger(path);
-    // Parseable lines survive, junk is dropped, nothing throws.
-    EXPECT_LE(ledger.size(), 1u);
-    EXPECT_EQ(ledger.expectedSeconds("not"), 0.0);
-}
-
-TEST(CostLedger, CalibrationRatePersistsWithTheEntries)
-{
-    const std::string path = freshPath("ledger-cal") + ".tsv";
-    {
-        runtime::CostLedger ledger(path);
-        EXPECT_EQ(ledger.secondsPerUnit(), 0.0);
-        ledger.recordCalibration(2.0, 1e6); // 2 s over 1M units
-        EXPECT_DOUBLE_EQ(ledger.secondsPerUnit(), 2e-6);
-        // Degenerate batches never poison the rate.
-        ledger.recordCalibration(1.0, 0.0);
-        ledger.recordCalibration(-1.0, 1e6);
-        EXPECT_DOUBLE_EQ(ledger.secondsPerUnit(), 2e-6);
-        ledger.save();
-    }
-    // The rate rides the normal entry persistence, under its
-    // reserved key.
-    runtime::CostLedger reloaded(path);
-    EXPECT_DOUBLE_EQ(reloaded.secondsPerUnit(), 2e-6);
-    EXPECT_DOUBLE_EQ(reloaded.expectedSeconds(
-                         runtime::CostLedger::kCalibrationKey),
-                     2e-6);
-}
-
 TEST(Scheduler, DispatchesLongestExpectedFirst)
 {
-    runtime::CostLedger ledger;
-    ledger.record("short", 0.1);
-    ledger.record("long", 0.5);
-    ledger.record("medium", 0.2);
-
     runtime::Executor executor(1); // serial: dispatch order == run order
-    runtime::Scheduler scheduler(&executor, &ledger);
+    runtime::Scheduler scheduler(executor);
     std::vector<std::string> ran;
-    std::vector<runtime::SuiteTask> tasks;
-    for (const char *key : {"short", "long", "medium", "unknown"}) {
+    const auto task = [&ran](const char *key, double hint) {
         runtime::SuiteTask t;
-        t.costKey = key;
+        t.name = key;
+        t.costHint = hint;
         t.run = [&ran, key](obs::Span &) { ran.emplace_back(key); };
-        tasks.push_back(std::move(t));
-    }
+        return t;
+    };
+    std::vector<runtime::SuiteTask> tasks;
+    tasks.push_back(task("short", 1e6));
+    tasks.push_back(task("long", 5e6));
+    tasks.push_back(task("medium", 2e6));
+    tasks.push_back(task("unknown", 0.0));
     const auto stats = scheduler.run(std::move(tasks));
 
-    // Known costs sort descending; unknown (0.0 s) keeps its
+    // Hinted tasks sort descending; the hintless one keeps its
     // submission position at the back.
     const std::vector<std::string> expected = {"long", "medium",
                                                "short", "unknown"};
@@ -163,20 +101,19 @@ TEST(Scheduler, DispatchesLongestExpectedFirst)
     // promoted ahead of their submission position.
     EXPECT_EQ(stats.stealsAvoided, 2u);
     EXPECT_GE(stats.batchSeconds, 0.0);
-
-    // The batch recorded fresh measurements for every key.
-    EXPECT_GT(ledger.expectedSeconds("unknown"), 0.0);
 }
 
+/** Hintless tasks all tie, so the stable sort keeps submission
+ * order. */
 TEST(Scheduler, ColdLedgerKeepsSubmissionOrder)
 {
     runtime::Executor executor(1);
-    runtime::Scheduler scheduler(&executor, nullptr);
+    runtime::Scheduler scheduler(executor);
     std::vector<int> ran;
     std::vector<runtime::SuiteTask> tasks;
     for (int i = 0; i < 5; ++i) {
         runtime::SuiteTask t;
-        t.costKey = "task" + std::to_string(i);
+        t.name = "task" + std::to_string(i);
         t.run = [&ran, i](obs::Span &) { ran.push_back(i); };
         tasks.push_back(std::move(t));
     }
@@ -185,19 +122,17 @@ TEST(Scheduler, ColdLedgerKeepsSubmissionOrder)
     EXPECT_EQ(stats.stealsAvoided, 0u);
 }
 
-/** Satellite: a completely cold ledger still dispatches the biggest
- * estimated workloads first, because tasks carry uop-count hints that
- * the scheduler converts to expected seconds. */
+/** The biggest estimated workloads go first: tasks carry uop-count
+ * hints, and the scheduler orders by them alone. */
 TEST(Scheduler, ColdLedgerOrdersByCostHint)
 {
-    runtime::CostLedger ledger; // empty: no measured seconds at all
     runtime::Executor executor(1);
-    runtime::Scheduler scheduler(&executor, &ledger);
+    runtime::Scheduler scheduler(executor);
 
     std::vector<std::string> ran;
     const auto task = [&ran](const char *key, double hint) {
         runtime::SuiteTask t;
-        t.costKey = key;
+        t.name = key;
         t.costHint = hint;
         t.run = [&ran, key](obs::Span &) { ran.emplace_back(key); };
         return t;
@@ -213,45 +148,11 @@ TEST(Scheduler, ColdLedgerOrdersByCostHint)
                                                "small", "hintless"};
     EXPECT_EQ(ran, expected);
     EXPECT_EQ(stats.dispatched, 4u);
-    // The batch calibrated a seconds-per-unit rate from the hinted
-    // tasks' measured times.
-    EXPECT_GT(ledger.secondsPerUnit(), 0.0);
 }
 
-/** Measured ledger seconds always beat hint estimates: a key the
- * ledger knows is ordered by its history, not its hint. */
-TEST(Scheduler, MeasuredSecondsOverrideHints)
-{
-    runtime::CostLedger ledger;
-    ledger.record("was-slow", 5.0);
-    runtime::Executor executor(1);
-    runtime::Scheduler scheduler(&executor, &ledger);
-
-    std::vector<std::string> ran;
-    std::vector<runtime::SuiteTask> tasks;
-    {
-        runtime::SuiteTask t;
-        t.costKey = "big-hint";
-        t.costHint = 1e9; // ~10 s at the uncalibrated prior
-        t.run = [&ran](obs::Span &) { ran.emplace_back("big-hint"); };
-        tasks.push_back(std::move(t));
-    }
-    {
-        runtime::SuiteTask t;
-        t.costKey = "was-slow";
-        t.costHint = 1.0; // tiny hint, but 5.0 measured seconds
-        t.run = [&ran](obs::Span &) { ran.emplace_back("was-slow"); };
-        tasks.push_back(std::move(t));
-    }
-    scheduler.run(std::move(tasks));
-    // 1e9 units * 1e-8 s/unit = 10 s expected > 5 s measured.
-    EXPECT_EQ(ran.front(), "big-hint");
-    EXPECT_EQ(ran.back(), "was-slow");
-}
-
-/** The tentpole guarantee: one global longest-first batch across the
- * whole suite produces bit-identical results to characterizing each
- * benchmark serially on its own. */
+/** One global longest-first batch across several benchmarks produces
+ * bit-identical results to characterizing each benchmark on its own
+ * on one job. */
 TEST(SuiteScheduler, MatchesPerBenchmarkSerialBitForBit)
 {
     const std::vector<std::string> names = {"505.mcf_r", "557.xz_r",
@@ -260,19 +161,17 @@ TEST(SuiteScheduler, MatchesPerBenchmarkSerialBitForBit)
     for (const auto &name : names)
         benchmarks.push_back(core::makeBenchmark(name));
 
-    core::RunRequest serialRequest;
-    serialRequest.jobs = 1;
-    serialRequest.refrateRepetitions = 1;
+    core::RunRequest request;
+    request.refrateRepetitions = 1;
+    runtime::Engine serialEngine(1);
     std::vector<core::Characterization> serial;
     for (const auto &bm : benchmarks)
-        serial.push_back(core::characterize(*bm, serialRequest));
+        serial.push_back(core::characterize(*bm, request, serialEngine));
 
     for (const int jobs : {1, 2, 8}) {
         runtime::Engine engine(jobs);
-        core::RunRequest request;
-        request.refrateRepetitions = 1;
         const auto suite =
-            core::characterizeSuite(benchmarks, request, &engine);
+            core::characterizeSuite(benchmarks, request, engine);
         ASSERT_EQ(suite.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
             expectSameModelOutputs(serial[i], suite[i]);
@@ -281,7 +180,6 @@ TEST(SuiteScheduler, MatchesPerBenchmarkSerialBitForBit)
         EXPECT_GT(
             engine.metrics().counter("scheduler.dispatched").value(),
             0u);
-        EXPECT_GT(engine.ledger().size(), 0u);
     }
 }
 
@@ -296,13 +194,13 @@ TEST(SuiteScheduler, WarmRerunReplaysInsteadOfRescheduling)
     core::RunRequest request;
     request.refrateRepetitions = 2;
     const auto cold =
-        core::characterizeSuite(benchmarks, request, &engine);
+        core::characterizeSuite(benchmarks, request, engine);
     const std::uint64_t coldDispatched =
         engine.metrics().counter("scheduler.dispatched").value();
     EXPECT_GT(coldDispatched, 0u);
 
     const auto warm =
-        core::characterizeSuite(benchmarks, request, &engine);
+        core::characterizeSuite(benchmarks, request, engine);
     expectSameModelOutputs(cold[0], warm[0]);
     EXPECT_EQ(cold[0].refrateRuns, warm[0].refrateRuns);
     // Refrate replayed from the cache: its repetitions were not
@@ -314,33 +212,32 @@ TEST(SuiteScheduler, WarmRerunReplaysInsteadOfRescheduling)
     EXPECT_EQ(engine.stats().cacheMisses, cold[0].workloadNames.size());
 }
 
-/** The cost ledger persists next to the disk cache and orders the
- * next session's batch. */
-TEST(SuiteScheduler, LedgerPersistsAcrossEngines)
+/** A one-benchmark characterize is the suite path over one
+ * benchmark: every untimed workload and every refrate repetition is
+ * a scheduler task, under a single characterize_suite root span. */
+TEST(SuiteScheduler, SingleBenchmarkCharacterizeRunsThroughTheScheduler)
 {
-    const std::string dir = freshPath("sched-cache");
-    std::vector<std::unique_ptr<runtime::Benchmark>> benchmarks;
-    benchmarks.push_back(core::makeBenchmark("505.mcf_r"));
+    const auto bm = core::makeBenchmark("505.mcf_r");
+    auto sink = std::make_unique<CollectSink>();
+    CollectSink *spans = sink.get();
+    runtime::Engine engine = runtime::Engine::Builder()
+                                 .jobs(2)
+                                 .traceSink(std::move(sink))
+                                 .build();
+    core::RunRequest request;
+    request.refrateRepetitions = 2;
+    const auto c = core::characterize(*bm, request, engine);
 
-    {
-        runtime::Engine engine =
-            runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
-        core::RunRequest request;
-        request.refrateRepetitions = 1;
-        core::characterizeSuite(benchmarks, request, &engine);
-        EXPECT_GT(engine.ledger().size(), 0u);
+    EXPECT_EQ(engine.metrics().counter("scheduler.dispatched").value(),
+              (c.workloadNames.size() - 1) + 2);
+    std::size_t roots = 0;
+    for (const obs::SpanRecord &span : spans->spans()) {
+        if (span.category == "characterize_suite") {
+            ++roots;
+            EXPECT_EQ(span.parent, 0u);
+        }
     }
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "cost_ledger.tsv"));
-
-    runtime::Engine second =
-        runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
-    // The new session knows the old session's costs before running
-    // anything.
-    EXPECT_GT(second.ledger().size(), 0u);
-    EXPECT_GT(second.ledger().expectedSeconds(
-                  "505.mcf_r/" +
-                  benchmarks[0]->workloads().front().name),
-              0.0);
+    EXPECT_EQ(roots, 1u);
 }
 
 } // namespace

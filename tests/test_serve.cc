@@ -181,7 +181,6 @@ TEST(Protocol, RequestLineRoundTrip)
     request.benchmark = "505.mcf_r";
     request.refrateRepetitions = 2;
     request.includeTest = false;
-    request.jobs = 4;
     const std::string line = "{\"op\":\"run\",\"id\":41,\"run\":" +
                              request.toJson() + "}";
     const serve::WireRequest wire = serve::parseRequestLine(line);
@@ -191,16 +190,16 @@ TEST(Protocol, RequestLineRoundTrip)
     EXPECT_EQ(wire.run.benchmark, "505.mcf_r");
     EXPECT_EQ(wire.run.refrateRepetitions, 2);
     EXPECT_FALSE(wire.run.includeTest);
-    EXPECT_EQ(wire.run.jobs, 4);
     // RunRequest round-trips through its own JSON.
     EXPECT_EQ(core::RunRequest::fromJsonText(request.toJson())
                   .toJson(),
               request.toJson());
 }
 
-/** Older clients serialize the removed segment/batched fields at
- * their exact-path values on every line; such a line (here a default
- * suite request) still parses, to the same request as today's. */
+/** Older clients serialize the removed segment/batched/jobs fields
+ * on every line; such a line (here a default suite request) still
+ * parses, to the same request as today's. `jobs` is ignored at any
+ * in-range value: the pool size is the engine's. */
 TEST(Protocol, OlderClientDefaultLineParsesToDefaultRequest)
 {
     const std::string older =
@@ -209,14 +208,18 @@ TEST(Protocol, OlderClientDefaultLineParsesToDefaultRequest)
         "\"include_test\":true,\"jobs\":1,\"segments\":1,"
         "\"segment_warmup_uops\":1000000,"
         "\"segment_target_uops\":16000000,\"batched\":false}";
-    const core::RunRequest parsed =
-        core::RunRequest::fromJsonText(older);
     core::RunRequest expected;
     expected.kind = "suite";
-    EXPECT_EQ(parsed.toJson(), expected.toJson());
-    // The removed keys are no longer emitted.
-    EXPECT_EQ(parsed.toJson().find("segment"), std::string::npos);
-    EXPECT_EQ(parsed.toJson().find("batched"), std::string::npos);
+    for (const std::string &line :
+         {older, std::string("{\"kind\":\"suite\",\"jobs\":8}")}) {
+        const core::RunRequest parsed =
+            core::RunRequest::fromJsonText(line);
+        EXPECT_EQ(parsed.toJson(), expected.toJson()) << line;
+        // The removed keys are no longer emitted.
+        EXPECT_EQ(parsed.toJson().find("segment"), std::string::npos);
+        EXPECT_EQ(parsed.toJson().find("batched"), std::string::npos);
+        EXPECT_EQ(parsed.toJson().find("jobs"), std::string::npos);
+    }
 }
 
 TEST(Protocol, SlashShorthandAndControlOps)
@@ -923,6 +926,10 @@ TEST(ServeFuzz, RemovedExecutionModesAreRejectedInBand)
         {"{\"op\":\"run\",\"id\":3,\"run\":{\"kind\":\"suite\","
          "\"batched\":true}}",
          "batched replay path was removed"},
+        // `jobs` is ignored but still range-checked: outside input.
+        {"{\"op\":\"run\",\"id\":4,\"run\":{\"kind\":\"suite\","
+         "\"jobs\":2000}}",
+         "[0, 1024]"},
     };
     for (const auto &[line, message] : bad) {
         client.sendLine(line);
@@ -937,9 +944,9 @@ TEST(ServeFuzz, RemovedExecutionModesAreRejectedInBand)
     EXPECT_TRUE(serve::parseResponseLine(client.recvLine())
                     .result.ok);
     client.sendLine(
-        "{\"op\":\"run\",\"id\":4,\"run\":{\"kind\":\"run\","
+        "{\"op\":\"run\",\"id\":5,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"segments\":1,\"batched\":false}}");
+        "\"segments\":1,\"batched\":false,\"jobs\":8}}");
     const serve::WireResponse ok =
         serve::parseResponseLine(client.recvLine());
     EXPECT_TRUE(ok.result.ok) << ok.result.error;
