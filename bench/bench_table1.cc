@@ -3,7 +3,8 @@
  * Reproduces Table I: the evolution from SPEC CPU INT 2006 to 2017 —
  * application areas, the paired benchmark names, the official times
  * the paper quotes (i7-6700K), and this reproduction's measured
- * refrate times (mean of three runs of each mini-benchmark).
+ * refrate times: one `run` request each on a shared engine, so Table
+ * II's timing rule (the mean of 3 pool-task repetitions).
  *
  * Absolute seconds differ (mini-kernels on a different machine); the
  * deliverable is the per-area mapping plus a measured-time column
@@ -11,8 +12,8 @@
  */
 #include <iostream>
 
+#include "core/request.h"
 #include "core/suite.h"
-#include "runtime/benchmark.h"
 #include "support/table.h"
 
 namespace {
@@ -56,14 +57,16 @@ main()
                  "2017 (INT)\n"
               << "Paper times: official submissions, i7-6700K. "
                  "Measured: this reproduction's\nmini-benchmark "
-                 "refrate means over 3 runs (absolute values are "
-                 "not comparable;\nthe mapping and relative "
-                 "ordering are the reproduction target).\n\n";
+                 "refrate means over 3 pool-task repetitions, Table "
+                 "II's timing rule\n(absolute values are not "
+                 "comparable; the mapping and relative ordering\nare "
+                 "the reproduction target).\n\n";
 
     support::Table table({"Application Area", "SPEC 2017", "SPEC 2006",
                           "2017 paper(s)", "2006 paper(s)",
                           "measured(s)"});
 
+    runtime::Engine engine;
     double paperSum2017 = 0.0, paperSum2006 = 0.0, measuredSum = 0.0;
     int paperCount2017 = 0, paperCount2006 = 0, measuredCount = 0;
 
@@ -73,12 +76,15 @@ main()
         // mini-benchmark (the paper created no workloads for it).
         if (row.spec2017[0] != '\0' &&
             std::string(row.spec2017) != "500.perlbench_r") {
-            const auto bm = core::makeBenchmark(row.spec2017);
-            const auto refrate =
-                runtime::findWorkload(*bm, "refrate");
-            const auto agg = runtime::runRepeated(*bm, refrate, 3);
-            measured = support::formatFixed(agg.meanSeconds, 3);
-            measuredSum += agg.meanSeconds;
+            core::RunRequest request;
+            request.kind = "run";
+            request.benchmark = row.spec2017;
+            request.workload = "refrate";
+            std::vector<core::Characterization> rows;
+            core::execute(request, engine, &rows);
+            const double seconds = rows[0].refrateSeconds;
+            measured = support::formatFixed(seconds, 3);
+            measuredSum += seconds;
             ++measuredCount;
         }
         if (row.time2017 > 0) {

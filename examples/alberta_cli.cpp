@@ -4,7 +4,7 @@
  *
  *   alberta_cli list                      all benchmarks + areas
  *   alberta_cli workloads <benchmark>     workload names + params
- *   alberta_cli run <benchmark> <workload> [reps]
+ *   alberta_cli run <benchmark> <workload>
  *   alberta_cli characterize <benchmark>  Table II row for one program
  *   alberta_cli suite                     full Table II through the
  *                                         suite scheduler
@@ -25,12 +25,13 @@
  *   --stats         print the one-line executor/cache/scheduler
  *                   summary to stderr on exit
  *
- * Every model run executes the full model exactly. The
- * characterizing commands build one core::RunRequest — the same
- * serializable spec `alberta_serve` accepts over its socket — and
- * execute it through one shared runtime::Engine, so `--format json`
- * output here is byte-identical to the daemon's payload for the same
- * request and cache.
+ * Every model run executes the full model exactly. run,
+ * characterize, suite and report build one core::RunRequest — the
+ * same serializable spec `alberta_serve` accepts over its socket —
+ * and execute it through one shared runtime::Engine, so every flag
+ * applies and `--format json` output here is byte-identical to the
+ * daemon's payload for the same request and cache. `run` is a
+ * one-workload characterization: refrate is timed by Table II's rule.
  */
 #include <iostream>
 #include <string>
@@ -79,34 +80,11 @@ cmdWorkloads(const std::string &name)
     return 0;
 }
 
-int
-cmdRun(const std::string &name, const std::string &workloadName,
-       int reps)
-{
-    const auto bm = core::makeBenchmark(name);
-    const auto workload = runtime::findWorkload(*bm, workloadName);
-    const auto agg = runtime::runRepeated(*bm, workload, reps);
-    const auto &m = agg.representative;
-    std::cout << bm->name() << " / " << workload.name << "\n";
-    std::cout << "  time      : "
-              << support::formatFixed(agg.meanSeconds, 4)
-              << " s (mean of " << reps << ")\n";
-    std::cout << "  uops      : " << m.retiredOps << "\n";
-    std::cout << "  top-down  : f="
-              << support::formatPercent(m.topdown.frontend, 1)
-              << "% b=" << support::formatPercent(m.topdown.backend, 1)
-              << "% s=" << support::formatPercent(m.topdown.badspec, 1)
-              << "% r="
-              << support::formatPercent(m.topdown.retiring, 1)
-              << "%\n";
-    std::cout << "  checksum  : " << m.checksum << "\n";
-    return 0;
-}
-
-/** characterize / suite / report: one RunRequest executed through the
- * shared engine. JSON output prints the deliverable payload verbatim
- * (the daemon serves the same bytes); text and Markdown render the
- * characterized rows through the session's ReportWriter. */
+/** run / characterize / suite / report: one RunRequest executed
+ * through the shared engine. JSON output prints the deliverable
+ * payload verbatim (the daemon serves the same bytes); text and
+ * Markdown render the characterized rows through the session's
+ * ReportWriter. */
 int
 cmdRequest(core::RunRequest request, runtime::Engine &engine,
            const core::ReportWriter &writer,
@@ -120,6 +98,7 @@ cmdRequest(core::RunRequest request, runtime::Engine &engine,
         return 0;
     }
     std::cout << (request.kind == "report" ? writer.report(rows[0])
+                  : request.kind == "run"  ? writer.run(rows[0])
                                            : writer.table2(rows));
     return 0;
 }
@@ -183,7 +162,7 @@ constexpr const char *kUsageTail =
     "commands:\n"
     "  list                        all benchmarks + areas\n"
     "  workloads <benchmark>       workload names + params\n"
-    "  run <benchmark> <workload> [reps]\n"
+    "  run <benchmark> <workload>  one workload's measurement\n"
     "  characterize <benchmark>    Table II row for one program\n"
     "  suite                       full Table II (suite scheduler)\n"
     "  report <benchmark>          behaviour report to stdout\n"
@@ -261,6 +240,16 @@ main(int argc, char **argv)
 
     int rc = 2;
     try {
+        support::fatalIf(emitRequest &&
+                             (command == "list" ||
+                              command == "workloads" ||
+                              command == "cluster"),
+                         "--emit-request: '", command,
+                         "' builds no request");
+        support::fatalIf(command == "run" && args.size() >= 4,
+                         "run: the [reps] argument was removed; "
+                         "refrate timing uses refrate_repetitions's "
+                         "default of 3, as characterize does");
         // Engine::Builder::build raises FatalError for a cache
         // directory that cannot be created or is not a directory; the
         // catch below turns that into a usage error.
@@ -271,55 +260,41 @@ main(int argc, char **argv)
                 .cacheDirOption(cacheDir, cacheDirGiven)
                 .build();
         const core::ReportWriter writer(format, &engine);
-        core::RunRequest request;
-        request.priority = priority;
-        request.deadlineMs = deadlineMs;
-        // --emit-request: print the daemon's wire line for the
-        // characterizing commands instead of executing.
-        const auto maybeEmit = [&]() -> bool {
-            if (!emitRequest)
-                return false;
-            request.validate();
-            std::cout << "{\"op\":\"run\",\"id\":1,\"run\":"
-                      << request.toJson() << "}\n";
-            return true;
-        };
+        // run, characterize, suite and report build one RunRequest;
+        // --emit-request prints its daemon wire line instead of
+        // executing it.
+        const bool buildsRequest =
+            command == "suite" ||
+            ((command == "characterize" || command == "report") &&
+             args.size() >= 2) ||
+            (command == "run" && args.size() >= 3);
         if (command == "list")
             rc = cmdList();
         else if (command == "workloads" && args.size() >= 2)
             rc = cmdWorkloads(args[1]);
-        else if (command == "run" && args.size() >= 3)
-            rc = cmdRun(args[1], args[2],
-                        args.size() >= 4
-                            ? static_cast<int>(
-                                  support::parsePositiveInt(
-                                      args[3], "run repetitions",
-                                      1000))
-                            : 3);
-        else if (command == "characterize" && args.size() >= 2) {
-            request.kind = "characterize";
-            request.benchmark = args[1];
-            rc = maybeEmit()
-                     ? 0
-                     : cmdRequest(request, engine, writer, format);
-        } else if (command == "suite") {
-            request.kind = "suite";
-            rc = maybeEmit()
-                     ? 0
-                     : cmdRequest(request, engine, writer, format);
-        } else if (command == "report" && args.size() >= 2) {
-            request.kind = "report";
-            request.benchmark = args[1];
-            rc = maybeEmit()
-                     ? 0
-                     : cmdRequest(request, engine, writer, format);
-        } else if (command == "cluster" && args.size() >= 3)
+        else if (command == "cluster" && args.size() >= 3)
             rc = cmdCluster(args[1],
                             static_cast<std::size_t>(
                                 support::parsePositiveInt(
                                     args[2], "cluster k", 1024)),
                             engine);
-        else
+        else if (buildsRequest) {
+            core::RunRequest request;
+            request.kind = command;
+            if (command != "suite")
+                request.benchmark = args[1];
+            if (command == "run")
+                request.workload = args[2];
+            request.priority = priority;
+            request.deadlineMs = deadlineMs;
+            if (emitRequest) {
+                request.validate();
+                std::cout << "{\"op\":\"run\",\"id\":1,\"run\":"
+                          << request.toJson() << "}\n";
+                rc = 0;
+            } else
+                rc = cmdRequest(request, engine, writer, format);
+        } else
             std::cerr << parser.help();
 
         if (wantMetrics)

@@ -19,9 +19,9 @@
 #                       the cold/warm aggregates, per-cell rows
 #                       report only.
 #
-# In between it smoke-tests the CLI: traced characterization (JSON
-# spans), persistent cache (disk-warm bit-identity), and the serving
-# daemon (suite payload byte-identical to the CLI's).
+# In between it smoke-tests the CLI: traced characterization and run
+# (JSON spans), persistent cache (disk-warm bit-identity), and the
+# serving daemon (suite and run payloads byte-identical to the CLI's).
 #
 # After regenerating, each tracker is diffed against the committed
 # snapshot with scripts/bench_diff.py: a >20% regression of any
@@ -85,6 +85,25 @@ else
     echo "check_build: python3 not found, skipping trace validation"
 fi
 
+# A run is a one-workload characterization: its trace holds exactly
+# one characterize_suite root and one model_run span.
+run_trace="$BUILD_DIR/check_run_trace.jsonl"
+"$BUILD_DIR"/examples/alberta_cli run 505.mcf_r test \
+    --trace "$run_trace" > /dev/null
+if command -v python3 > /dev/null; then
+    python3 - "$run_trace" << 'EOF'
+import json, sys
+spans = [json.loads(line) for line in open(sys.argv[1])]
+for cat in ("characterize_suite", "model_run"):
+    n = sum(1 for s in spans if s["cat"] == cat)
+    if n != 1:
+        sys.exit(f"check_build: run trace has {n} {cat} spans, "
+                 "expected 1")
+print("check_build: run trace OK (one characterize_suite root, "
+      "one model_run span)")
+EOF
+fi
+
 # Persistent-cache smoke test: the same characterization through a
 # fresh cache directory twice. The second process must hit the disk
 # cache and produce a bit-identical JSON Table II row.
@@ -116,9 +135,10 @@ echo "check_build: persistent cache OK ($warm_hits disk hits," \
 
 # Serving-layer smoke test: a daemon on a temp socket — with a
 # 4-thread dispatcher pool — must answer a Table II suite request
-# with bytes identical to the serial CLI run against the same cache
-# directory, answer /metrics out of the registry, and drain cleanly
-# on SIGTERM without leaving the socket or any temp files behind.
+# and three run requests with bytes identical to the CLI run against
+# the same cache directory, answer the CLI's --emit-request line,
+# answer /metrics out of the registry, and drain cleanly on SIGTERM
+# without leaving the socket or any temp files behind.
 serve_dir="$(mktemp -d "${TMPDIR:-/tmp}/alberta-check-serve.XXXXXX")"
 trap 'rm -rf "$cache_dir" "$serve_dir"' EXIT
 serve_sock="$serve_dir/daemon.sock"
@@ -126,14 +146,19 @@ serve_cache="$serve_dir/cache"
 serve_log="$BUILD_DIR/check_serve.log"
 served_suite="$BUILD_DIR/check_serve_suite.json"
 cli_suite="$BUILD_DIR/check_cli_suite.json"
+serve_runs=("505.mcf_r test" "557.xz_r refrate" "541.leela_r train")
 if command -v python3 > /dev/null; then
+    emitted="$("$BUILD_DIR"/examples/alberta_cli run 505.mcf_r test \
+        --emit-request)"
     "$BUILD_DIR"/examples/alberta_serve --socket "$serve_sock" \
         --cache-dir "$serve_cache" --dispatchers 4 \
         > "$serve_log" 2>&1 &
     serve_pid=$!
-    python3 - "$serve_sock" "$served_suite" << 'EOF'
+    python3 - "$serve_sock" "$served_suite" "$BUILD_DIR" \
+        "$emitted" "${serve_runs[@]}" << 'EOF'
 import json, socket, sys, time
-path, out = sys.argv[1], sys.argv[2]
+path, out, build_dir, emitted = sys.argv[1:5]
+runs = [pair.split() for pair in sys.argv[5:]]
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 deadline = time.time() + 10
 while True:
@@ -154,14 +179,25 @@ def ask(line):
         sys.exit("check_build: daemon hung up mid-conversation")
     return resp.decode()
 
-resp = ask('{"op":"run","id":1,"run":{"kind":"suite"}}')
-env = json.loads(resp)
-if env["id"] != 1 or not env["ok"] or env["kind"] != "suite":
-    sys.exit(f"check_build: bad suite envelope: {resp[:200]}")
-body = resp.rstrip("\r\n")
-start = body.index(',"payload":') + len(',"payload":')
-with open(out, "w") as fh:
-    fh.write(body[start:-1] + "\n")
+def save_payload(resp, id, kind, name):
+    env = json.loads(resp)
+    if env["id"] != id or not env["ok"] or env["kind"] != kind:
+        sys.exit(f"check_build: bad {kind} envelope: {resp[:200]}")
+    body = resp.rstrip("\r\n")
+    start = body.index(',"payload":') + len(',"payload":')
+    with open(name, "w") as fh:
+        fh.write(body[start:-1] + "\n")
+
+save_payload(ask('{"op":"run","id":1,"run":{"kind":"suite"}}'), 1,
+             "suite", out)
+for n, (bm, wl) in enumerate(runs, 2):
+    line = json.dumps({"op": "run", "id": n, "run": {
+        "kind": "run", "benchmark": bm, "workload": wl}})
+    save_payload(ask(line), n, "run",
+                 f"{build_dir}/check_serve_run_{n}.json")
+env = json.loads(ask(emitted))
+if not env["ok"] or env["kind"] != "run":
+    sys.exit(f"check_build: --emit-request line not answered: {env}")
 env = json.loads(ask("/metrics"))
 if not env["ok"] or env["kind"] != "metrics":
     sys.exit("check_build: bad /metrics envelope")
@@ -170,7 +206,8 @@ for counter in ("serve.requests", "serve.responses"):
     if counter not in rendered:
         sys.exit(f"check_build: /metrics is missing {counter}")
 s.close()
-print("check_build: daemon answered the suite request and /metrics")
+print("check_build: daemon answered the suite, run and "
+      "--emit-request lines and /metrics")
 EOF
     "$BUILD_DIR"/examples/alberta_cli suite --format json \
         --cache-dir "$serve_cache" > "$cli_suite" 2> /dev/null
@@ -179,6 +216,20 @@ EOF
              "CLI run on the same cache" >&2
         exit 1
     fi
+    n=2
+    for pair in "${serve_runs[@]}"; do
+        cli_run="$BUILD_DIR/check_cli_run_$n.json"
+        # $pair is deliberately split into benchmark and workload.
+        # shellcheck disable=SC2086
+        "$BUILD_DIR"/examples/alberta_cli run $pair --format json \
+            --cache-dir "$serve_cache" > "$cli_run"
+        if ! cmp -s "$BUILD_DIR/check_serve_run_$n.json" "$cli_run"; then
+            echo "check_build: FAIL: served run JSON for $pair" \
+                 "differs from the CLI run on the same cache" >&2
+            exit 1
+        fi
+        n=$((n + 1))
+    done
     kill -TERM "$serve_pid"
     serve_rc=0
     wait "$serve_pid" || serve_rc=$?
@@ -195,8 +246,8 @@ EOF
         echo "check_build: FAIL: daemon left temp files behind" >&2
         exit 1
     fi
-    echo "check_build: serving layer OK (byte-identical suite JSON," \
-         "clean SIGTERM drain)"
+    echo "check_build: serving layer OK (byte-identical suite and" \
+         "run JSON, clean SIGTERM drain)"
 else
     echo "check_build: python3 not found, skipping daemon check"
 fi

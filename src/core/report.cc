@@ -311,6 +311,43 @@ ReportWriter::report(const Characterization &c) const
 }
 
 std::string
+ReportWriter::run(const Characterization &c) const
+{
+    obs::Span span(engine_ ? &engine_->tracer() : nullptr, "run",
+                   "report");
+    span.note("benchmark", c.benchmark);
+    const stats::TopdownRatios &r = c.topdownPerWorkload.front();
+    std::ostringstream os;
+    if (format_ == ReportFormat::Json) {
+        os << "{\"benchmark\":" << jsonQuote(c.benchmark)
+           << ",\"workload\":" << jsonQuote(c.workloadNames.front())
+           << ",\"frontend\":" << jsonNumber(r.frontend)
+           << ",\"backend\":" << jsonNumber(r.backend)
+           << ",\"badspec\":" << jsonNumber(r.badspec)
+           << ",\"retiring\":" << jsonNumber(r.retiring)
+           << ",\"uops\":" << c.uopsPerWorkload.front()
+           // uint64 checksums exceed JSON's exact-integer range;
+           // emit as a string so nothing rounds (as jsonReport does).
+           << ",\"checksum\":\"" << c.checksumPerWorkload.front()
+           << "\"}\n";
+        return os.str();
+    }
+    os << c.benchmark << " / " << c.workloadNames.front() << "\n";
+    if (!c.refrateRuns.empty()) {
+        os << "  time      : " << formatFixed(c.refrateSeconds, 4)
+           << " s (mean of " << c.refrateRuns.size()
+           << " pool repetitions)\n";
+    }
+    os << "  uops      : " << c.uopsPerWorkload.front() << "\n"
+       << "  top-down  : f=" << formatPercent(r.frontend, 1)
+       << "% b=" << formatPercent(r.backend, 1)
+       << "% s=" << formatPercent(r.badspec, 1)
+       << "% r=" << formatPercent(r.retiring, 1) << "%\n"
+       << "  checksum  : " << c.checksumPerWorkload.front() << "\n";
+    return os.str();
+}
+
+std::string
 ReportWriter::metrics(
     const std::vector<obs::MetricSample> &samples) const
 {

@@ -78,6 +78,15 @@ class ReportWriter
      */
     std::string report(const Characterization &c) const;
 
+    /**
+     * One workload's measurement from a "run" request's one-workload
+     * characterization. JSON emits the run payload (the four
+     * top-down fractions, retired uops and checksum); text and
+     * Markdown print the same values, plus the mean refrate time
+     * when @p c holds timed repetitions.
+     */
+    std::string run(const Characterization &c) const;
+
     /** The end-of-run metrics table (see Engine::metricsSnapshot). */
     std::string
     metrics(const std::vector<obs::MetricSample> &samples) const;

@@ -4,7 +4,6 @@
 
 #include "core/report.h"
 #include "core/suite.h"
-#include "runtime/result_cache.h"
 #include "support/check.h"
 #include "support/text.h"
 
@@ -12,7 +11,6 @@ namespace alberta::core {
 
 namespace {
 
-using support::jsonNumber;
 using support::jsonQuote;
 
 /** Strip the rendered deliverable's trailing newline: payloads embed
@@ -184,28 +182,6 @@ execute(const RunRequest &request, runtime::Engine &engine,
             chompPayload(writer.metrics(engine.metricsSnapshot()));
         return result;
     }
-    if (request.kind == "run") {
-        const auto bm = makeBenchmark(request.benchmark);
-        const runtime::Workload workload =
-            runtime::findWorkload(*bm, request.workload);
-        const runtime::RunMeasurement m =
-            runtime::measureCached(*bm, workload, &engine.cache());
-        std::ostringstream os;
-        os << "{\"benchmark\":" << jsonQuote(bm->name())
-           << ",\"workload\":" << jsonQuote(workload.name)
-           << ",\"frontend\":" << jsonNumber(m.topdown.frontend)
-           << ",\"backend\":" << jsonNumber(m.topdown.backend)
-           << ",\"badspec\":" << jsonNumber(m.topdown.badspec)
-           << ",\"retiring\":" << jsonNumber(m.topdown.retiring)
-           << ",\"uops\":" << m.retiredOps
-           // uint64 checksums exceed JSON's exact-integer range;
-           // emit as a string so nothing rounds (as jsonReport does).
-           << ",\"checksum\":\"" << m.checksum << "\"}";
-        result.payload = os.str();
-        engine.metrics().counter("request.runs").add(1);
-        return result;
-    }
-
     std::vector<Characterization> characterized;
     if (request.kind == "suite") {
         characterized = characterizeTable2(request, engine);
@@ -214,10 +190,13 @@ execute(const RunRequest &request, runtime::Engine &engine,
         const auto bm = makeBenchmark(request.benchmark);
         characterized.push_back(
             characterize(*bm, request, engine));
+        const Characterization &c = characterized.front();
         result.payload = chompPayload(
-            request.kind == "report"
-                ? writer.report(characterized.front())
-                : writer.table2(characterized));
+            request.kind == "report" ? writer.report(c)
+            : request.kind == "run"  ? writer.run(c)
+                                     : writer.table2(characterized));
+        if (request.kind == "run")
+            engine.metrics().counter("request.runs").add(1);
     }
     if (rows)
         *rows = std::move(characterized);

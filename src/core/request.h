@@ -55,9 +55,11 @@ struct RunRequest
     std::string benchmark;
     /** Workload name (required for kind "run"). */
     std::string workload;
-    /** Timed refrate repetitions (the paper's three). */
+    /** Timed refrate repetitions (the paper's three); applies to
+     * characterize, suite, report and a run of refrate. */
     int refrateRepetitions = 3;
-    /** Count "test" among the characterized workloads. */
+    /** Count "test" among the characterized workloads (a run of
+     * "test" names it, so runs it regardless). */
     bool includeTest = true;
     /**
      * Scheduling priority for the daemon's dispatcher pool:
@@ -149,8 +151,10 @@ struct RunResult
  *   - "characterize": one benchmark's Table II row (JSON array of 1)
  *   - "suite": the full Table II through the suite scheduler
  *   - "report": one benchmark's complete characterization object
- *   - "run": one (benchmark, workload) model run — deterministic
- *     outputs only (top-down fractions, uops, checksum)
+ *   - "run": a one-workload characterization through the same
+ *     scheduler; the payload holds deterministic outputs only
+ *     (top-down fractions, uops, checksum). A refrate run replays or
+ *     times refrateRepetitions repetitions as characterize does.
  *   - "metrics": the engine's metrics snapshot
  *
  * When @p rows is non-null the characterized rows are copied out for

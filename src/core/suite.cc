@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "benchmarks/blender/benchmark.h"
 #include "benchmarks/cactubssn/benchmark.h"
@@ -80,6 +81,8 @@ struct SuiteSlot
     std::size_t refrateIndex = 0; //!< == workloads.size() when absent
     std::vector<runtime::RunMeasurement> results;
     std::vector<double> refrateRuns;
+    /** (checksum, retired uops) of each timed refrate repetition. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> refrateOutputs;
     bool insertRefrate = false; //!< refrate ran (vs cache replay)
 };
 
@@ -106,15 +109,21 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
     root.note("benchmarks",
               static_cast<std::uint64_t>(benchmarks.size()));
 
-    // Pass 1: select workloads and pre-size every gather slot.
+    // Pass 1: select workloads and pre-size every gather slot. A
+    // "run" request keeps only the workload it names.
     std::vector<SuiteSlot> slots(benchmarks.size());
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
         const runtime::Benchmark &bm = *benchmarks[b];
         SuiteSlot &slot = slots[b];
-        for (auto &workload : bm.workloads()) {
-            if (!request.includeTest && workload.name == "test")
-                continue;
-            slot.workloads.push_back(std::move(workload));
+        if (request.kind == "run") {
+            slot.workloads.push_back(
+                runtime::findWorkload(bm, request.workload));
+        } else {
+            for (auto &workload : bm.workloads()) {
+                if (!request.includeTest && workload.name == "test")
+                    continue;
+                slot.workloads.push_back(std::move(workload));
+            }
         }
         support::fatalIf(slot.workloads.empty(), "suite: ", bm.name(),
                          " has no workloads");
@@ -171,6 +180,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
             // rep 0 doubles as refrate's model run.
             slot.insertRefrate = true;
             slot.refrateRuns.resize(repetitions);
+            slot.refrateOutputs.resize(repetitions);
             for (int rep = 0; rep < repetitions; ++rep) {
                 runtime::SuiteTask task;
                 task.name = key;
@@ -184,6 +194,8 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
                     if (rep == 0)
                         slot.results[i] = m;
                     slot.refrateRuns[rep] = m.seconds;
+                    slot.refrateOutputs[rep] = {m.checksum,
+                                                m.retiredOps};
                 };
                 tasks.push_back(std::move(task));
             }
@@ -202,6 +214,12 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
         const runtime::Benchmark &bm = *benchmarks[b];
         SuiteSlot &slot = slots[b];
         if (slot.insertRefrate) {
+            for (const auto &outputs : slot.refrateOutputs) {
+                support::panicIf(
+                    outputs != slot.refrateOutputs.front(),
+                    bm.name(), "/refrate: nondeterministic checksum "
+                               "or uops across repetitions");
+            }
             cache.insert(bm, slot.workloads[slot.refrateIndex],
                          {slot.results[slot.refrateIndex],
                           slot.refrateRuns});
@@ -214,6 +232,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
             c.topdownPerWorkload.push_back(slot.results[i].topdown);
             c.coveragePerWorkload.push_back(slot.results[i].coverage);
             c.checksumPerWorkload.push_back(slot.results[i].checksum);
+            c.uopsPerWorkload.push_back(slot.results[i].retiredOps);
             c.secondsPerWorkload.push_back(slot.results[i].seconds);
             totalUops += slot.results[i].retiredOps;
         }

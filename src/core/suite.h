@@ -39,6 +39,7 @@ struct Characterization
     std::vector<stats::TopdownRatios> topdownPerWorkload;
     std::vector<stats::CoverageMap> coveragePerWorkload;
     std::vector<std::uint64_t> checksumPerWorkload;
+    std::vector<std::uint64_t> uopsPerWorkload; //!< retired micro-ops
     stats::TopdownSummary topdown;   //!< Eqs. 1-4 over the workloads
     stats::CoverageSummary coverage; //!< Eq. 5 over the workloads
     double refrateSeconds = 0.0;     //!< mean wall time, refrate
@@ -67,9 +68,11 @@ Characterization characterize(const runtime::Benchmark &benchmark,
  *
  * The run is configured by a @ref RunRequest — the same serializable
  * spec the CLI and the `alberta_serve` daemon construct — of which
- * only the model-configuration fields matter here (repetitions,
- * includeTest); the kind/benchmark/workload routing fields are
- * ignored because the benchmarks are passed directly. @p engine
+ * the model-configuration fields matter here (repetitions,
+ * includeTest); the benchmarks are passed directly. A request of kind
+ * "run" keeps only its named workload (even "test" when includeTest
+ * is false), so one workload goes through the same tasks and refrate
+ * timing rule as a whole suite; a missing name is fatal. @p engine
  * supplies the worker pool, result cache (with optional disk
  * backing), stats block, and observability layer.
  *
@@ -82,7 +85,8 @@ Characterization characterize(const runtime::Benchmark &benchmark,
  * repetitions overlap the other runs of the batch, so with more than
  * one job their wall times are measured on a busy pool; model
  * outputs are unaffected. The first timed repetition doubles as
- * refrate's model run.
+ * refrate's model run, and a repetition whose checksum or retired
+ * uops differ from it panics (the model is deterministic).
  */
 std::vector<Characterization> characterizeSuite(
     std::span<const std::unique_ptr<runtime::Benchmark>> benchmarks,

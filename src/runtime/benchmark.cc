@@ -1,6 +1,7 @@
 #include "runtime/benchmark.h"
 
 #include <chrono>
+#include <utility>
 
 #include "support/check.h"
 
@@ -24,37 +25,12 @@ runOnce(const Benchmark &benchmark, const Workload &workload)
     return m;
 }
 
-WorkloadMeasurement
-runRepeated(const Benchmark &benchmark, const Workload &workload,
-            int repetitions)
-{
-    support::fatalIf(repetitions < 1, "need at least one repetition");
-    WorkloadMeasurement agg;
-    agg.workload = workload.name;
-    double sum = 0.0;
-    for (int rep = 0; rep < repetitions; ++rep) {
-        RunMeasurement m = runOnce(benchmark, workload);
-        if (rep == 0) {
-            agg.representative = m;
-        } else {
-            support::panicIf(
-                m.checksum != agg.representative.checksum,
-                benchmark.name(), "/", workload.name,
-                ": nondeterministic checksum across repetitions");
-        }
-        agg.runSeconds.push_back(m.seconds);
-        sum += m.seconds;
-    }
-    agg.meanSeconds = sum / repetitions;
-    return agg;
-}
-
 Workload
 findWorkload(const Benchmark &benchmark, std::string_view name)
 {
     for (auto &w : benchmark.workloads()) {
         if (w.name == name)
-            return w;
+            return std::move(w); // the list is a temporary
     }
     support::fatal(benchmark.name(), " has no workload named '",
                    std::string(name), "'");

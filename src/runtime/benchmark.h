@@ -75,27 +75,9 @@ struct RunMeasurement
     stats::CoverageMap coverage;      //!< method -> time fraction
 };
 
-/** Aggregate of repeated executions of one (benchmark, workload). */
-struct WorkloadMeasurement
-{
-    std::string workload;             //!< workload name
-    double meanSeconds = 0.0;         //!< arithmetic mean over runs
-    std::vector<double> runSeconds;   //!< raw per-run times
-    RunMeasurement representative;    //!< deterministic model outputs
-};
-
 /** Execute @p workload once under a fresh context. */
 RunMeasurement runOnce(const Benchmark &benchmark,
                        const Workload &workload);
-
-/**
- * Execute @p workload @p repetitions times (the paper uses three) and
- * aggregate. Model-derived outputs (top-down, coverage, checksum) are
- * identical across repetitions by construction; this is verified.
- */
-WorkloadMeasurement runRepeated(const Benchmark &benchmark,
-                                const Workload &workload,
-                                int repetitions = 3);
 
 /** Find a workload by name (fatal if absent). */
 Workload findWorkload(const Benchmark &benchmark, std::string_view name);

@@ -7,9 +7,11 @@
  * Every entry is one file in the cache directory, addressed by the
  * (benchmark, workload name, workload content fingerprint) triple. The
  * file carries a format version, a model-version fingerprint (derived
- * from a deterministic probe run through the execution stack, so any
- * semantic change to the model invalidates old entries automatically),
- * the identifying triple, and a checksummed binary payload holding the
+ * from a deterministic probe run of the top-down Machine alone, so a
+ * change to the machine invalidates old entries; no benchmark kernel
+ * code is in the key — the workload fingerprint covers names, seed,
+ * params and generated files — so clear the directory after editing a
+ * benchmark, see ROADMAP item 9), the identifying triple, and a checksummed binary payload holding the
  * CachedRun. Writes go to a unique temporary file followed by an
  * atomic rename: concurrent writers are last-writer-wins and readers
  * can never observe a torn entry. Corrupted, truncated, or

@@ -1,6 +1,8 @@
 /** @file Tests for the core suite library (Table II pipeline). */
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/suite.h"
 #include "support/check.h"
 
@@ -95,6 +97,46 @@ TEST(Characterize, RowFormattingMatchesHeader)
     runtime::Engine engine(1);
     const Characterization c = characterize(*bm, request, engine);
     EXPECT_EQ(table2Row(c).size(), table2Header().size());
+}
+
+/** A benchmark whose output changes on every run, as a model with
+ * hidden state would. */
+class DriftingBenchmark : public runtime::Benchmark
+{
+  public:
+    std::string name() const override { return "000.drift_r"; }
+    std::string area() const override { return "Testing"; }
+
+    std::vector<runtime::Workload>
+    workloads() const override
+    {
+        runtime::Workload refrate;
+        refrate.name = "refrate";
+        return {refrate};
+    }
+
+    void
+    run(const runtime::Workload &,
+        runtime::ExecutionContext &ctx) const override
+    {
+        auto scope = ctx.method("drift_kernel", 64);
+        for (int i = 0; i < 1000; ++i)
+            ctx.machine().op(topdown::OpKind::IntAlu);
+        ctx.consume(runs_.fetch_add(1));
+    }
+
+  private:
+    mutable std::atomic<std::uint64_t> runs_{0};
+};
+
+TEST(Characterize, NondeterministicRefrateRepetitionsPanic)
+{
+    const DriftingBenchmark drifting;
+    RunRequest request;
+    request.refrateRepetitions = 2;
+    runtime::Engine engine(1);
+    EXPECT_THROW(characterize(drifting, request, engine),
+                 support::PanicError);
 }
 
 } // namespace

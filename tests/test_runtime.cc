@@ -152,16 +152,6 @@ TEST(Runner, ModelOutputsDeterministicAcrossRuns)
     EXPECT_EQ(a.retiredOps, b.retiredOps);
 }
 
-TEST(Runner, RepeatedRunsAggregateTimes)
-{
-    ToyBenchmark toy;
-    const auto w = findWorkload(toy, "refrate");
-    const auto agg = runRepeated(toy, w, 3);
-    EXPECT_EQ(agg.runSeconds.size(), 3u);
-    EXPECT_GT(agg.meanSeconds, 0.0);
-    EXPECT_EQ(agg.workload, "refrate");
-}
-
 TEST(Runner, DifferentWorkloadsDifferentChecksums)
 {
     ToyBenchmark toy;
@@ -174,13 +164,6 @@ TEST(Runner, FindWorkloadMissingIsFatal)
 {
     ToyBenchmark toy;
     EXPECT_THROW(findWorkload(toy, "nope"), support::FatalError);
-}
-
-TEST(Runner, ZeroRepetitionsIsFatal)
-{
-    ToyBenchmark toy;
-    const auto w = findWorkload(toy, "refrate");
-    EXPECT_THROW(runRepeated(toy, w, 0), support::FatalError);
 }
 
 } // namespace

@@ -348,6 +348,15 @@ TEST(Protocol, OutOfRangePriorityAndDeadlineAreFatal)
                  support::FatalError);
 }
 
+TEST(Protocol, ZeroRefrateRepetitionsIsFatal)
+{
+    EXPECT_THROW(core::RunRequest::fromJsonText(
+                     "{\"kind\":\"run\",\"benchmark\":\"505.mcf_r\","
+                     "\"workload\":\"refrate\","
+                     "\"refrate_repetitions\":0}"),
+                 support::FatalError);
+}
+
 // --- admission queue --------------------------------------------------
 
 serve::QueueJob
@@ -712,6 +721,26 @@ TEST(Serve, InvalidRequestsAnsweredWithoutKillingTheConnection)
     client.sendLine("/ping");
     EXPECT_TRUE(serve::parseResponseLine(client.recvLine())
                     .result.ok);
+}
+
+TEST(Serve, UnknownWorkloadAnsweredInBandThenARunIsServed)
+{
+    const std::string socket = freshPath("noworkload.sock");
+    ServerFixture server(serverOptions(socket));
+    Client client(socket);
+    client.sendLine(runLine(1, "505.mcf_r", "nope"));
+    serve::WireResponse wire =
+        serve::parseResponseLine(client.recvLine());
+    EXPECT_EQ(wire.id, 1u);
+    EXPECT_FALSE(wire.result.ok);
+    EXPECT_NE(wire.result.error.find("has no workload named 'nope'"),
+              std::string::npos)
+        << wire.result.error;
+    // The same connection then answers a valid run.
+    client.sendLine(runLine(2, "505.mcf_r", "test"));
+    wire = serve::parseResponseLine(client.recvLine());
+    EXPECT_EQ(wire.id, 2u);
+    EXPECT_TRUE(wire.result.ok) << wire.result.error;
 }
 
 TEST(Serve, PastDeadlineRequestAnsweredWithStructuredError)
