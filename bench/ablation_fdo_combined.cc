@@ -22,7 +22,8 @@ using namespace alberta;
 
 /** Baselines recur between the single and combined evaluations; the
  * cache computes each exactly once. */
-runtime::ResultCache baselineCache;
+obs::Registry baselineMetrics;
+runtime::ResultCache baselineCache(baselineMetrics);
 
 /** Geometric-mean speedup of @p opt over all workloads not in
  * @p excluded. */

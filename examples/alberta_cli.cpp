@@ -21,9 +21,8 @@
  *                   *processes* start warm
  *                   (default: ALBERTA_CACHE_DIR when set, else no
  *                   persistence)
- *   --metrics       print the end-of-run metrics table to stderr
- *   --stats         print the one-line executor/cache/scheduler
- *                   summary to stderr on exit
+ *   --metrics       print the end-of-run metrics table to stderr:
+ *                   the same rows the daemon's /metrics returns
  *
  * Every model run executes the full model exactly. run,
  * characterize, suite and report build one core::RunRequest — the
@@ -130,34 +129,6 @@ cmdCluster(const std::string &name, std::size_t k,
     return 0;
 }
 
-void
-printStats(runtime::Engine &engine)
-{
-    const runtime::ExecutorStats stats = engine.stats();
-    std::cerr << "[stats] jobs=" << engine.jobs()
-              << " tasks=" << stats.tasksRun
-              << " queue=" << stats.queueSeconds << "s"
-              << " run=" << stats.runSeconds << "s"
-              << " cache_hits=" << stats.cacheHits
-              << " cache_misses=" << stats.cacheMisses
-              << " uops=" << stats.uopsRetired << " uops_per_sec="
-              << support::formatFixed(stats.uopsPerSecond(), 0)
-              << "\n";
-    auto &metrics = engine.metrics();
-    std::cerr << "[stats] scheduler_dispatched="
-              << metrics.counter("scheduler.dispatched").value()
-              << " scheduler_steals_avoided="
-              << metrics.counter("scheduler.steals_avoided").value()
-              << "\n";
-    if (const runtime::PersistentCache *disk = engine.disk()) {
-        std::cerr << "[stats] cache_dir=" << disk->dir()
-                  << " disk_hits=" << disk->hits()
-                  << " disk_misses=" << disk->misses()
-                  << " disk_corrupt=" << disk->corrupt()
-                  << " disk_writes=" << disk->writes() << "\n";
-    }
-}
-
 constexpr const char *kUsageTail =
     "commands:\n"
     "  list                        all benchmarks + areas\n"
@@ -177,7 +148,6 @@ main(int argc, char **argv)
     int priority = 0;   // queue priority when served by a daemon
     int deadlineMs = 0; // queue deadline when served by a daemon
     bool emitRequest = false;
-    bool wantStats = false;
     bool wantMetrics = false;
     std::string tracePath;
     std::string cacheDir;
@@ -216,10 +186,7 @@ main(int argc, char **argv)
                 &cacheDir, &cacheDirGiven)
         .flag("--metrics",
               "print the end-of-run metrics table to stderr",
-              &wantMetrics)
-        .flag("--stats",
-              "print executor/cache/scheduler summaries to stderr",
-              &wantStats);
+              &wantMetrics);
 
     std::vector<std::string> args;
     try {
@@ -299,8 +266,6 @@ main(int argc, char **argv)
 
         if (wantMetrics)
             std::cerr << writer.metrics(engine.metricsSnapshot());
-        if (wantStats)
-            printStats(engine);
         engine.flushTrace();
     } catch (const support::FatalError &e) {
         // User error (bad argument, unknown benchmark/format/file).

@@ -1,38 +1,25 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the cross-PR performance tracker.
+# Tier-1 verification plus the model-signature gate.
 #
 #   scripts/check_build.sh [build-dir]
 #
-# Runs the canonical configure/build/test sequence from ROADMAP.md and
-# then regenerates the performance trackers:
+# Runs the canonical configure/build/test sequence from ROADMAP.md.
+# ctest gates the deterministic work counters exactly (a cold and a
+# warm Table II suite: model runs, executed uops, cache and disk
+# counters). Then this script smoke-tests the CLI: traced
+# characterization and run (JSON spans), persistent cache (disk-warm
+# bit-identity, disk hits read from --metrics), and the serving daemon
+# (suite and run payloads byte-identical to the CLI's).
 #
-#   BENCH_machine.json  hot-path throughput of the top-down machine,
-#                       plus a 64-bit model signature over all model
-#                       outputs. The signature must match the committed
-#                       file bit-for-bit — any semantic change to the
-#                       model fails here unless it is explicitly
-#                       acknowledged with ALBERTA_ALLOW_MODEL_CHANGE=1.
-#   BENCH_table2.json   serial vs suite-scheduled vs cache-warm wall
-#                       time of the full Table II characterization.
-#   BENCH_serve.json    daemon throughput and latency percentiles
-#                       over the dispatchers x clients grid; gated on
-#                       the cold/warm aggregates, per-cell rows
-#                       report only.
+# Finally bench_machine writes $BUILD_DIR/bench_machine.json: the
+# top-down machine's throughput, which is only printed, and a 64-bit
+# model signature over all model outputs, which must match the
+# committed BENCH_machine.json bit for bit. Any semantic change to the
+# model fails here unless it is explicitly acknowledged with
+# ALBERTA_ALLOW_MODEL_CHANGE=1. No file in the checkout is written.
 #
-# In between it smoke-tests the CLI: traced characterization and run
-# (JSON spans), persistent cache (disk-warm bit-identity), and the
-# serving daemon (suite and run payloads byte-identical to the CLI's).
-#
-# After regenerating, each tracker is diffed against the committed
-# snapshot with scripts/bench_diff.py: a >20% regression of any
-# suite-level metric (uops/s, seconds, speedups) fails the build
-# unless explicitly acknowledged with ALBERTA_ALLOW_PERF_REGRESSION=1.
-# 20%, not the script's 10% default, because the shared 1-core CI box
-# shows ±8-15% run-to-run variance even when idle; per-benchmark rows
-# are noisier still and report without gating.
-#
-# Set ALBERTA_SKIP_BENCH=1 to stop after ctest, and ALBERTA_JOBS to
-# control the worker-pool size.
+# Set ALBERTA_SKIP_BENCH=1 to stop before bench_machine, and
+# ALBERTA_JOBS to control the worker-pool size.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,23 +98,24 @@ cache_dir="$(mktemp -d "${TMPDIR:-/tmp}/alberta-check-cache.XXXXXX")"
 trap 'rm -rf "$cache_dir"' EXIT
 cold_row="$BUILD_DIR/check_cache_cold.json"
 warm_row="$BUILD_DIR/check_cache_warm.json"
-cold_stats="$BUILD_DIR/check_cache_cold.stats"
-warm_stats="$BUILD_DIR/check_cache_warm.stats"
+warm_metrics="$BUILD_DIR/check_cache_warm.metrics.json"
 "$BUILD_DIR"/examples/alberta_cli characterize 505.mcf_r \
-    --cache-dir "$cache_dir" --stats --format json \
-    > "$cold_row" 2> "$cold_stats"
+    --cache-dir "$cache_dir" --format json \
+    > "$cold_row" 2> /dev/null
 "$BUILD_DIR"/examples/alberta_cli characterize 505.mcf_r \
-    --cache-dir "$cache_dir" --stats --format json \
-    > "$warm_row" 2> "$warm_stats"
+    --cache-dir "$cache_dir" --metrics --format json \
+    > "$warm_row" 2> "$warm_metrics"
 if ! cmp -s "$cold_row" "$warm_row"; then
     echo "check_build: FAIL: disk-warm Table II row differs from" \
          "the cold one" >&2
     exit 1
 fi
-warm_hits="$(sed -n 's/.* disk_hits=\([0-9]*\).*/\1/p' "$warm_stats")"
+warm_hits="$(sed -n \
+    's/.*"name":"cache.disk_hits","kind":"counter","value":\([0-9]*\).*/\1/p' \
+    "$warm_metrics")"
 if [[ -z "$warm_hits" || "$warm_hits" -eq 0 ]]; then
     echo "check_build: FAIL: second run reported no disk-cache hits" >&2
-    cat "$warm_stats" >&2
+    cat "$warm_metrics" >&2
     exit 1
 fi
 echo "check_build: persistent cache OK ($warm_hits disk hits," \
@@ -253,27 +241,16 @@ else
 fi
 
 if [[ "${ALBERTA_SKIP_BENCH:-0}" != "1" ]]; then
-    committed_sig=""
-    if [[ -f BENCH_machine.json ]]; then
-        committed_sig="$(sed -n \
-            's/.*"model_signature": "\(0x[0-9a-f]*\)".*/\1/p' \
-            BENCH_machine.json)"
-        cp BENCH_machine.json "$BUILD_DIR/bench_machine_baseline.json"
-    fi
-    if [[ -f BENCH_table2.json ]]; then
-        cp BENCH_table2.json "$BUILD_DIR/bench_table2_baseline.json"
-    fi
-    if [[ -f BENCH_serve.json ]]; then
-        cp BENCH_serve.json "$BUILD_DIR/bench_serve_baseline.json"
-    fi
-    "$BUILD_DIR"/bench/bench_machine --json BENCH_machine.json \
-        > /dev/null
-    new_sig="$(sed -n \
-         's/.*"model_signature": "\(0x[0-9a-f]*\)".*/\1/p' \
-        BENCH_machine.json)"
-    echo "== BENCH_machine.json =="
-    cat BENCH_machine.json
-    if [[ -n "$committed_sig" && "$committed_sig" != "$new_sig" ]]; then
+    machine_json="$BUILD_DIR/bench_machine.json"
+    "$BUILD_DIR"/bench/bench_machine --json "$machine_json" > /dev/null
+    echo "== $machine_json (wall times are reported, not gated) =="
+    cat "$machine_json"
+    signature() {
+        sed -n 's/.*"model_signature": "\(0x[0-9a-f]*\)".*/\1/p' "$1"
+    }
+    committed_sig="$(signature BENCH_machine.json)"
+    new_sig="$(signature "$machine_json")"
+    if [[ "$committed_sig" != "$new_sig" ]]; then
         if [[ "${ALBERTA_ALLOW_MODEL_CHANGE:-0}" == "1" ]]; then
             echo "check_build: model signature changed" \
                  "($committed_sig -> $new_sig), allowed by" \
@@ -283,62 +260,13 @@ if [[ "${ALBERTA_SKIP_BENCH:-0}" != "1" ]]; then
                  "($committed_sig -> $new_sig)." >&2
             echo "The top-down model no longer produces bit-identical" \
                  "outputs. If intentional, rerun with" \
-                 "ALBERTA_ALLOW_MODEL_CHANGE=1 and commit the new" \
-                 "BENCH_machine.json." >&2
+                 "ALBERTA_ALLOW_MODEL_CHANGE=1 and commit" \
+                 "$machine_json as BENCH_machine.json." >&2
             exit 1
         fi
-    fi
-
-    "$BUILD_DIR"/bench/bench_table2 --json BENCH_table2.json \
-        > /dev/null
-    echo "== BENCH_table2.json =="
-    cat BENCH_table2.json
-
-    # Serving throughput: the daemon grid (dispatchers x clients).
-    # Gated metrics are the cold/warm aggregates; per_cell.* rows and
-    # the scaling ratio report without gating (dispatcher scaling is
-    # meaningless on a 1-core box).
-    "$BUILD_DIR"/bench/bench_serve --json BENCH_serve.json \
-        2> /dev/null
-    echo "== BENCH_serve.json =="
-    cat BENCH_serve.json
-
-    # Performance-regression gate: diff each regenerated tracker
-    # against the committed snapshot. bench_diff.py fails on a
-    # regression of any suite-level metric beyond the tolerance;
-    # per-benchmark rows, counts, and signatures are reported but
-    # never fail here (the signature gate above already handles
-    # model changes).
-    if command -v python3 > /dev/null; then
-        perf_fail=0
-        for pair in \
-            "bench_machine_baseline.json BENCH_machine.json" \
-            "bench_table2_baseline.json BENCH_table2.json" \
-            "bench_serve_baseline.json BENCH_serve.json"; do
-            baseline="$BUILD_DIR/${pair%% *}"
-            current="${pair##* }"
-            [[ -f "$baseline" ]] || continue
-            echo "== bench_diff: $current vs committed =="
-            if ! python3 scripts/bench_diff.py "$baseline" \
-                "$current" --tolerance 0.20; then
-                perf_fail=1
-            fi
-        done
-        if [[ "$perf_fail" == "1" ]]; then
-            if [[ "${ALBERTA_ALLOW_PERF_REGRESSION:-0}" == "1" ]]; then
-                echo "check_build: performance regressed beyond tolerance," \
-                     "allowed by ALBERTA_ALLOW_PERF_REGRESSION=1"
-            else
-                echo "check_build: FAIL: performance regressed beyond" \
-                     "tolerance versus the committed trackers." >&2
-                echo "If the slowdown is intentional, rerun with" \
-                     "ALBERTA_ALLOW_PERF_REGRESSION=1 and commit the" \
-                     "regenerated BENCH_*.json." >&2
-                exit 1
-            fi
-        fi
     else
-        echo "check_build: python3 not found, skipping bench diff"
+        echo "check_build: model signature $new_sig matches" \
+             "BENCH_machine.json"
     fi
 fi
 

@@ -388,7 +388,10 @@ ReportWriter::metrics(
                      " max=" + formatFixed(s.max, 6) +
                      " sum=" + formatFixed(s.sum, 6);
         }
-        cells.push_back({s.name, s.kind, formatFixed(s.value, 6),
+        // A counter counts whole events: print it as an integer.
+        cells.push_back({s.name, s.kind,
+                         s.kind == "counter" ? std::to_string(s.count)
+                                             : formatFixed(s.value, 6),
                          std::move(detail)});
     }
     return format_ == ReportFormat::Markdown

@@ -98,12 +98,8 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
 
     runtime::ResultCache &cache = engine.cache();
     obs::Tracer *tracer = &engine.tracer();
-    runtime::Executor &executor = engine.executor();
 
     const int repetitions = std::max(1, request.refrateRepetitions);
-    const std::uint64_t hitsBefore = cache.hits();
-    const std::uint64_t missesBefore = cache.misses();
-    const runtime::ExecutorStats statsBefore = executor.stats();
 
     obs::Span root(tracer, "suite", "characterize_suite");
     root.note("benchmarks",
@@ -186,11 +182,14 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
                 task.name = key;
                 task.category = "refrate_rep";
                 task.costHint = hint;
-                task.run = [&slot, &bm, i, rep](obs::Span &span) {
+                task.run = [&slot, &bm, i, rep,
+                             &cache](obs::Span &span) {
                     span.note("rep", static_cast<std::uint64_t>(rep));
                     const runtime::RunMeasurement m =
                         runtime::runOnce(bm, slot.workloads[i]);
+                    cache.countRun(m);
                     span.note("seconds", m.seconds);
+                    span.note("uops", m.retiredOps);
                     if (rep == 0)
                         slot.results[i] = m;
                     slot.refrateRuns[rep] = m.seconds;
@@ -203,13 +202,12 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
     }
     root.note("tasks", static_cast<std::uint64_t>(tasks.size()));
 
-    runtime::Scheduler scheduler(executor, tracer, &engine.metrics());
+    runtime::Scheduler scheduler(engine.executor(), tracer,
+                                 &engine.metrics());
     scheduler.run(std::move(tasks));
 
     // Gather: results sit in pre-sized per-benchmark slots in
     // workload order, so summaries are bit-identical to a serial run.
-    std::uint64_t totalWorkloads = 0;
-    std::uint64_t totalUops = 0;
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
         const runtime::Benchmark &bm = *benchmarks[b];
         SuiteSlot &slot = slots[b];
@@ -234,9 +232,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
             c.checksumPerWorkload.push_back(slot.results[i].checksum);
             c.uopsPerWorkload.push_back(slot.results[i].retiredOps);
             c.secondsPerWorkload.push_back(slot.results[i].seconds);
-            totalUops += slot.results[i].retiredOps;
         }
-        totalWorkloads += slot.workloads.size();
         {
             obs::Span summarize(tracer, bm.name(), "summarize",
                                 root.id());
@@ -254,21 +250,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
         out[b] = std::move(c);
     }
 
-    const runtime::ExecutorStats after = executor.stats();
-    runtime::ExecutorStats delta;
-    delta.tasksRun = after.tasksRun - statsBefore.tasksRun;
-    delta.queueSeconds = after.queueSeconds - statsBefore.queueSeconds;
-    delta.runSeconds = after.runSeconds - statsBefore.runSeconds;
-    delta.cacheHits = cache.hits() - hitsBefore;
-    delta.cacheMisses = cache.misses() - missesBefore;
-    delta.uopsRetired = totalUops;
-    engine.mergeStats(delta);
-    auto &registry = engine.metrics();
-    registry.counter("characterize.calls").add(1);
-    registry.counter("characterize.model_runs").add(totalWorkloads);
-    registry.counter("characterize.uops").add(totalUops);
-    registry.histogram("characterize.run_seconds")
-        .record(delta.runSeconds);
+    engine.metrics().counter("characterize.calls").add(1);
     return out;
 }
 

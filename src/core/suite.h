@@ -74,7 +74,10 @@ Characterization characterize(const runtime::Benchmark &benchmark,
  * is false), so one workload goes through the same tasks and refrate
  * timing rule as a whole suite; a missing name is fatal. @p engine
  * supplies the worker pool, result cache (with optional disk
- * backing), stats block, and observability layer.
+ * backing), and observability layer. Each executed model run — a
+ * cache miss or a timed refrate repetition — bumps `model.runs` and
+ * `model.uops_executed`; a replay from either cache tier bumps
+ * neither.
  *
  * Every (benchmark, workload) model run — each timed refrate
  * repetition included, as its own task — is flattened into one task

@@ -2,8 +2,9 @@
  * @file
  * The run-session facade: one object owning everything a
  * characterization session shares — the worker pool, the result cache,
- * the accumulated executor statistics, and the observability layer
- * (metrics registry + tracer). `core::characterize`,
+ * and the observability layer (metrics registry + tracer). The
+ * registry is the session's only set of books: every count and summed
+ * duration the components keep lives there. `core::characterize`,
  * `core::characterizeSuite` and `fdo::crossValidate` all take an
  * `Engine&`: there is no engine-less way to characterize.
  *
@@ -27,7 +28,6 @@
 #define ALBERTA_RUNTIME_ENGINE_H
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,25 +55,6 @@ class Engine
 
     Executor &executor() { return executor_; }
     ResultCache &cache() { return cache_; }
-    /** Snapshot of the stats accumulated by every characterization
-     * run through this engine. Returned by value under a lock: the
-     * serving daemon's dispatcher pool merges deltas concurrently
-     * with /metrics reads, so handing out a reference would race. */
-    ExecutorStats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        return stats_;
-    }
-
-    /** Fold one run's executor-stats delta into the session total
-     * (thread-safe; called by core::characterizeSuite per call). */
-    void
-    mergeStats(const ExecutorStats &delta)
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        stats_.merge(delta);
-    }
     obs::Registry &metrics() { return metrics_; }
     obs::Tracer &tracer() { return tracer_; }
 
@@ -93,7 +74,9 @@ class Engine
 
     /**
      * The end-of-run metrics table: every registry metric plus the
-     * executor/cache/session aggregates, sorted by name.
+     * pool size (`executor.jobs`) and the memory-cache entry count
+     * (`cache.entries`), sorted by name. `alberta_cli --metrics` and
+     * the daemon's `/metrics` both print it.
      */
     std::vector<obs::MetricSample> metricsSnapshot() const;
 
@@ -124,8 +107,6 @@ class Engine
     Executor executor_;
     std::unique_ptr<PersistentCache> disk_; //!< null = memory only
     ResultCache cache_;
-    mutable std::mutex statsMu_;
-    ExecutorStats stats_; //!< guarded by statsMu_
 };
 
 /** Builder-style Engine configuration. */

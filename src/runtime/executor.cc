@@ -95,12 +95,9 @@ Executor::runTask(Task &task)
     } catch (...) {
         error = std::current_exception();
     }
-    const double ran = secondsSince(start);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.tasksRun;
-        stats_.queueSeconds += waited;
-        stats_.runSeconds += ran;
+    if (runSeconds_) {
+        queueSeconds_->record(waited);
+        runSeconds_->record(secondsSince(start));
     }
     task.batch->finishOne(std::move(error));
 }
@@ -133,6 +130,11 @@ Executor::attachObservability(obs::Tracer *tracer,
         metrics ? &metrics->counter("executor.batches") : nullptr;
     taskCounter_ =
         metrics ? &metrics->counter("executor.tasks") : nullptr;
+    queueSeconds_ = metrics
+                        ? &metrics->histogram("executor.queue_seconds")
+                        : nullptr;
+    runSeconds_ =
+        metrics ? &metrics->histogram("executor.run_seconds") : nullptr;
 }
 
 void
@@ -150,15 +152,15 @@ Executor::parallelFor(std::size_t count,
     }
 
     // Serial executors and nested calls from worker threads run inline;
-    // timings are still accounted so stats stay comparable.
+    // their tasks are still timed, with no queue wait.
     if (jobs_ <= 1 || tlsInsideWorker || count == 1) {
         for (std::size_t i = 0; i < count; ++i) {
             const auto start = Clock::now();
             body(i);
-            const double ran = secondsSince(start);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.tasksRun;
-            stats_.runSeconds += ran;
+            if (runSeconds_) {
+                queueSeconds_->record(0.0);
+                runSeconds_->record(secondsSince(start));
+            }
         }
         return;
     }
@@ -182,13 +184,6 @@ Executor::parallelFor(std::size_t count,
     batch->done.wait(lock, [&] { return batch->remaining == 0; });
     if (batch->error)
         std::rethrow_exception(batch->error);
-}
-
-ExecutorStats
-Executor::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
 }
 
 } // namespace alberta::runtime

@@ -4,7 +4,7 @@
  *
  * The characterization pipeline is embarrassingly parallel: every model
  * run owns a fresh ExecutionContext, so tasks share no mutable state and
- * the executor only has to distribute indices and collect timings.
+ * the executor only has to distribute indices.
  * Results are always gathered in submission order, which keeps parallel
  * characterizations bit-identical to the serial path.
  */
@@ -12,7 +12,6 @@
 #define ALBERTA_RUNTIME_EXECUTOR_H
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -21,47 +20,12 @@
 
 namespace alberta::obs {
 class Counter;
+class Histogram;
 class Registry;
 class Tracer;
 } // namespace alberta::obs
 
 namespace alberta::runtime {
-
-/** Aggregate observability counters for executor + cache activity. */
-struct ExecutorStats
-{
-    std::uint64_t tasksRun = 0;   //!< tasks executed (pool or inline)
-    double queueSeconds = 0.0;    //!< total submit -> start wait
-    double runSeconds = 0.0;      //!< total task execution time
-    std::uint64_t cacheHits = 0;  //!< result-cache hits (per consumer)
-    std::uint64_t cacheMisses = 0; //!< result-cache misses
-    std::uint64_t uopsRetired = 0; //!< micro-ops retired by model runs
-
-    /**
-     * Model throughput in micro-ops per second of task execution time.
-     * Cache hits replay memoized results, so a warm pass reports a much
-     * higher apparent throughput than the raw machine speed.
-     */
-    double
-    uopsPerSecond() const
-    {
-        return runSeconds > 0.0
-                   ? static_cast<double>(uopsRetired) / runSeconds
-                   : 0.0;
-    }
-
-    /** Accumulate another stats block into this one. */
-    void
-    merge(const ExecutorStats &other)
-    {
-        tasksRun += other.tasksRun;
-        queueSeconds += other.queueSeconds;
-        runSeconds += other.runSeconds;
-        cacheHits += other.cacheHits;
-        cacheMisses += other.cacheMisses;
-        uopsRetired += other.uopsRetired;
-    }
-};
 
 /**
  * A fixed-size worker pool with a blocking `parallelFor`.
@@ -96,14 +60,14 @@ class Executor
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &body);
 
-    /** Snapshot of the counters accumulated so far. */
-    ExecutorStats stats() const;
-
     /**
      * Attach observability (non-owning; pass nullptrs to detach).
      * When attached, every `parallelFor` batch opens one span
      * (category "executor") and bumps the `executor.batches` /
-     * `executor.tasks` counters. Detached, the hooks cost one branch.
+     * `executor.tasks` counters, and every task records its submit ->
+     * start wait and its run time in the `executor.queue_seconds` /
+     * `executor.run_seconds` histograms (an inline task waits 0 s).
+     * Detached, the hooks cost one branch.
      */
     void attachObservability(obs::Tracer *tracer,
                              obs::Registry *metrics);
@@ -124,16 +88,16 @@ class Executor
     int jobs_ = 1;
     std::vector<std::thread> workers_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::queue<Task> queue_;
     bool stopping_ = false;
 
-    ExecutorStats stats_;
-
     obs::Tracer *tracer_ = nullptr;
     obs::Counter *batchCounter_ = nullptr;
     obs::Counter *taskCounter_ = nullptr;
+    obs::Histogram *queueSeconds_ = nullptr;
+    obs::Histogram *runSeconds_ = nullptr;
 };
 
 } // namespace alberta::runtime

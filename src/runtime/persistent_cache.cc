@@ -1,5 +1,6 @@
 #include "runtime/persistent_cache.h"
 
+#include <atomic>
 #include <bit>
 #include <filesystem>
 #include <fstream>
@@ -126,8 +127,14 @@ tmpSuffix()
 } // namespace
 
 PersistentCache::PersistentCache(std::string dir,
+                                 obs::Registry &metrics,
                                  std::uint64_t modelVersion)
-    : dir_(std::move(dir)), modelVersion_(modelVersion)
+    : dir_(std::move(dir)), modelVersion_(modelVersion),
+      hits_(metrics.counter("cache.disk_hits")),
+      misses_(metrics.counter("cache.disk_misses")),
+      corrupt_(metrics.counter("cache.disk_corrupt")),
+      writes_(metrics.counter("cache.disk_writes")),
+      writeFailures_(metrics.counter("cache.disk_write_failures"))
 {
     support::fatalIf(dir_.empty(),
                      "persistent cache: --cache-dir must not be empty");
@@ -155,14 +162,9 @@ PersistentCache::load(const Benchmark &benchmark,
                       const Workload &workload, CachedRun *out) const
 {
     const auto miss = [&](bool isCorrupt) {
-        ++misses_;
-        if (missCounter_)
-            missCounter_->add(1);
-        if (isCorrupt) {
-            ++corrupt_;
-            if (corruptCounter_)
-                corruptCounter_->add(1);
-        }
+        misses_.add(1);
+        if (isCorrupt)
+            corrupt_.add(1);
         return false;
     };
 
@@ -201,9 +203,7 @@ PersistentCache::load(const Benchmark &benchmark,
         return miss(true);
     if (out)
         *out = std::move(run);
-    ++hits_;
-    if (hitCounter_)
-        hitCounter_->add(1);
+    hits_.add(1);
     return true;
 }
 
@@ -226,7 +226,7 @@ PersistentCache::store(const Benchmark &benchmark,
     const std::string path = entryPath(benchmark, workload);
     const std::string tmp = path + tmpSuffix();
     const auto failed = [&] {
-        ++writeFailures_;
+        writeFailures_.add(1);
         std::error_code ignored;
         fs::remove(tmp, ignored);
     };
@@ -251,22 +251,7 @@ PersistentCache::store(const Benchmark &benchmark,
         failed();
         return;
     }
-    ++writes_;
-    if (writeCounter_)
-        writeCounter_->add(1);
-}
-
-void
-PersistentCache::attachMetrics(obs::Registry *metrics)
-{
-    hitCounter_ =
-        metrics ? &metrics->counter("cache.disk_hits") : nullptr;
-    missCounter_ =
-        metrics ? &metrics->counter("cache.disk_misses") : nullptr;
-    corruptCounter_ =
-        metrics ? &metrics->counter("cache.disk_corrupt") : nullptr;
-    writeCounter_ =
-        metrics ? &metrics->counter("cache.disk_writes") : nullptr;
+    writes_.add(1);
 }
 
 std::uint64_t

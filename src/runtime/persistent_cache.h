@@ -20,16 +20,10 @@
 #ifndef ALBERTA_RUNTIME_PERSISTENT_CACHE_H
 #define ALBERTA_RUNTIME_PERSISTENT_CACHE_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "runtime/result_cache.h"
-
-namespace alberta::obs {
-class Counter;
-class Registry;
-} // namespace alberta::obs
 
 namespace alberta::runtime {
 
@@ -43,6 +37,10 @@ class PersistentCache
     /**
      * Open (creating if needed) the store at @p dir.
      *
+     * @param metrics registry holding the store's counters
+     *        (`cache.disk_hits`, `cache.disk_misses`,
+     *        `cache.disk_corrupt`, `cache.disk_writes`,
+     *        `cache.disk_write_failures`); must outlive the store.
      * @param modelVersion entries written by a different model version
      *        are treated as misses; defaults to
      *        @ref modelVersionFingerprint. Tests override it to
@@ -50,9 +48,9 @@ class PersistentCache
      * @throws support::FatalError when @p dir is empty or cannot be
      *         created/used as a directory.
      */
-    explicit PersistentCache(std::string dir,
-                             std::uint64_t modelVersion =
-                                 modelVersionFingerprint());
+    PersistentCache(std::string dir, obs::Registry &metrics,
+                    std::uint64_t modelVersion =
+                        modelVersionFingerprint());
 
     /** Probe the store; counts a disk hit, miss, or corrupt entry. */
     bool load(const Benchmark &benchmark, const Workload &workload,
@@ -73,23 +71,16 @@ class PersistentCache
     std::string entryPath(const Benchmark &benchmark,
                           const Workload &workload) const;
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t misses() const { return misses_.value(); }
     /** Entries rejected as unreadable (truncated, bad magic, payload
      * checksum mismatch) — a subset of @ref misses. */
-    std::uint64_t corrupt() const { return corrupt_.load(); }
-    std::uint64_t writes() const { return writes_.load(); }
+    std::uint64_t corrupt() const { return corrupt_.value(); }
+    std::uint64_t writes() const { return writes_.value(); }
     std::uint64_t writeFailures() const
     {
-        return writeFailures_.load();
+        return writeFailures_.value();
     }
-
-    /**
-     * Mirror activity into @p metrics as `cache.disk_hits`,
-     * `cache.disk_misses`, `cache.disk_corrupt`, and
-     * `cache.disk_writes` (non-owning; nullptr detaches).
-     */
-    void attachMetrics(obs::Registry *metrics);
 
     /**
      * Fingerprint of the current model semantics: a small fixed probe
@@ -104,15 +95,11 @@ class PersistentCache
   private:
     std::string dir_;
     std::uint64_t modelVersion_ = 0;
-    mutable std::atomic<std::uint64_t> hits_{0};
-    mutable std::atomic<std::uint64_t> misses_{0};
-    mutable std::atomic<std::uint64_t> corrupt_{0};
-    mutable std::atomic<std::uint64_t> writes_{0};
-    mutable std::atomic<std::uint64_t> writeFailures_{0};
-    obs::Counter *hitCounter_ = nullptr;
-    obs::Counter *missCounter_ = nullptr;
-    obs::Counter *corruptCounter_ = nullptr;
-    obs::Counter *writeCounter_ = nullptr;
+    obs::Counter &hits_;
+    obs::Counter &misses_;
+    obs::Counter &corrupt_;
+    obs::Counter &writes_;
+    obs::Counter &writeFailures_;
 };
 
 } // namespace alberta::runtime

@@ -32,6 +32,14 @@ hashString(std::uint64_t &h, const std::string &s)
 
 } // namespace
 
+ResultCache::ResultCache(obs::Registry &metrics)
+    : hits_(metrics.counter("cache.hits")),
+      misses_(metrics.counter("cache.misses")),
+      modelRuns_(metrics.counter("model.runs")),
+      modelUops_(metrics.counter("model.uops_executed"))
+{
+}
+
 std::uint64_t
 ResultCache::fingerprint(const Benchmark &benchmark,
                          const Workload &workload)
@@ -71,9 +79,7 @@ ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
         if (it != entries_.end() && it->second.fingerprint == fp) {
             if (out)
                 *out = it->second.run;
-            ++hits_;
-            if (hitCounter_)
-                hitCounter_->add(1);
+            hits_.add(1);
             return true;
         }
     }
@@ -89,23 +95,18 @@ ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
         }
         if (out)
             *out = std::move(fromDisk);
-        ++hits_;
-        if (hitCounter_)
-            hitCounter_->add(1);
+        hits_.add(1);
         return true;
     }
-    ++misses_;
-    if (missCounter_)
-        missCounter_->add(1);
+    misses_.add(1);
     return false;
 }
 
 void
-ResultCache::attachMetrics(obs::Registry *metrics)
+ResultCache::countRun(const RunMeasurement &run) const
 {
-    hitCounter_ = metrics ? &metrics->counter("cache.hits") : nullptr;
-    missCounter_ =
-        metrics ? &metrics->counter("cache.misses") : nullptr;
+    modelRuns_.add(1);
+    modelUops_.add(run.retiredOps);
 }
 
 void
@@ -132,15 +133,6 @@ ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-void
-ResultCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    hits_ = 0;
-    misses_ = 0;
 }
 
 namespace {
@@ -173,6 +165,7 @@ measureCached(const Benchmark &benchmark, const Workload &workload,
     if (cache->lookup(benchmark, workload, &cached))
         return cached.measurement;
     cached.measurement = runOnceCpuCosted(benchmark, workload);
+    cache->countRun(cached.measurement);
     cache->insert(benchmark, workload, cached);
     return cached.measurement;
 }

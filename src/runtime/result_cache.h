@@ -14,19 +14,14 @@
 #ifndef ALBERTA_RUNTIME_RESULT_CACHE_H
 #define ALBERTA_RUNTIME_RESULT_CACHE_H
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/obs.h"
 #include "runtime/benchmark.h"
-
-namespace alberta::obs {
-class Counter;
-class Registry;
-} // namespace alberta::obs
 
 namespace alberta::runtime {
 
@@ -51,6 +46,14 @@ struct CachedRun
 class ResultCache
 {
   public:
+    /**
+     * @param metrics registry holding this cache's counters:
+     *        `cache.hits` / `cache.misses` per probe and
+     *        `model.runs` / `model.uops_executed` per executed run
+     *        (see @ref countRun). Must outlive the cache.
+     */
+    explicit ResultCache(obs::Registry &metrics);
+
     /** Fingerprint of the (benchmark, workload) content. */
     static std::uint64_t fingerprint(const Benchmark &benchmark,
                                      const Workload &workload);
@@ -63,19 +66,16 @@ class ResultCache
     void insert(const Benchmark &benchmark, const Workload &workload,
                 CachedRun run);
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t misses() const { return misses_.value(); }
     std::size_t size() const;
 
-    /** Drop all entries and zero the counters. */
-    void clear();
-
     /**
-     * Mirror hit/miss activity into @p metrics as the `cache.hits` /
-     * `cache.misses` counters (non-owning; nullptr detaches). Probe
-     * results are unaffected — this is observation only.
+     * Count one executed model run and its retired uops. measureCached
+     * calls it on a miss; timed refrate repetitions, which run outside
+     * the cache, call it once per repetition. A replay counts nothing.
      */
-    void attachMetrics(obs::Registry *metrics);
+    void countRun(const RunMeasurement &run) const;
 
     /**
      * Back this cache with an on-disk store (non-owning; nullptr
@@ -99,10 +99,10 @@ class ResultCache
     mutable std::mutex mutex_;
     /** Mutable: lookup() promotes disk hits into the memory table. */
     mutable std::unordered_map<std::string, Entry> entries_;
-    mutable std::atomic<std::uint64_t> hits_{0};
-    mutable std::atomic<std::uint64_t> misses_{0};
-    obs::Counter *hitCounter_ = nullptr;
-    obs::Counter *missCounter_ = nullptr;
+    obs::Counter &hits_;
+    obs::Counter &misses_;
+    obs::Counter &modelRuns_;
+    obs::Counter &modelUops_;
     const PersistentCache *disk_ = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "support/check.h"
@@ -12,23 +11,18 @@ Scheduler::Scheduler(Executor &executor, obs::Tracer *tracer,
                      obs::Registry *metrics)
     : executor_(executor), tracer_(tracer)
 {
-    if (metrics) {
-        dispatchCounter_ = &metrics->counter("scheduler.dispatched");
-        stealCounter_ = &metrics->counter("scheduler.steals_avoided");
-    }
+    if (metrics)
+        reordered_ = &metrics->counter("scheduler.reordered");
 }
 
-SchedulerStats
+void
 Scheduler::run(std::vector<SuiteTask> tasks)
 {
-    using Clock = std::chrono::steady_clock;
-    SchedulerStats stats;
     if (tasks.empty())
-        return stats;
+        return;
 
     obs::Span batch(tracer_, "suite_batch", "scheduler");
     const std::uint64_t batchId = batch.id();
-    const auto start = Clock::now();
 
     // Longest-hint-first order. The sort is stable, so tasks with
     // equal hints — hintless ones included — keep submission order.
@@ -38,11 +32,11 @@ Scheduler::run(std::vector<SuiteTask> tasks)
                      [&](std::size_t a, std::size_t b) {
                          return tasks[a].costHint > tasks[b].costHint;
                      });
+    std::uint64_t reordered = 0;
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
         if (order[pos] > pos)
-            ++stats.stealsAvoided;
+            ++reordered;
     }
-    stats.dispatched = tasks.size();
 
     executor_.parallelFor(tasks.size(), [&](std::size_t i) {
         SuiteTask &task = tasks[order[i]];
@@ -52,16 +46,10 @@ Scheduler::run(std::vector<SuiteTask> tasks)
         task.run(span);
     });
 
-    if (dispatchCounter_) {
-        dispatchCounter_->add(stats.dispatched);
-        stealCounter_->add(stats.stealsAvoided);
-    }
-    stats.batchSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    batch.note("tasks", stats.dispatched);
-    batch.note("reordered", stats.stealsAvoided);
-    batch.note("seconds", stats.batchSeconds);
-    return stats;
+    if (reordered_)
+        reordered_->add(reordered);
+    batch.note("tasks", static_cast<std::uint64_t>(tasks.size()));
+    batch.note("reordered", reordered);
 }
 
 } // namespace alberta::runtime

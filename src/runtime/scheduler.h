@@ -16,7 +16,6 @@
 #ifndef ALBERTA_RUNTIME_SCHEDULER_H
 #define ALBERTA_RUNTIME_SCHEDULER_H
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -43,19 +42,6 @@ struct SuiteTask
     double costHint = 0.0;
 };
 
-/** What one scheduled batch did. */
-struct SchedulerStats
-{
-    std::uint64_t dispatched = 0; //!< tasks handed to the executor
-    /**
-     * Tasks the hint order promoted ahead of their submission
-     * position — long tasks that would otherwise have been picked up
-     * late and left the pool draining behind one straggler.
-     */
-    std::uint64_t stealsAvoided = 0;
-    double batchSeconds = 0.0;  //!< wall time of the whole batch
-};
-
 /** Longest-hint-first dispatcher over a shared Executor. */
 class Scheduler
 {
@@ -65,17 +51,18 @@ class Scheduler
                        obs::Registry *metrics = nullptr);
 
     /**
-     * Dispatch @p tasks as one batch and block until all complete.
-     * Bumps the `scheduler.dispatched` / `scheduler.steals_avoided`
-     * counters when a metrics registry is attached.
+     * Dispatch @p tasks as one batch (one Executor::parallelFor, so
+     * `executor.tasks` counts them) and block until all complete.
+     * When a metrics registry is attached, bumps `scheduler.reordered`
+     * by the number of tasks the hint order promoted ahead of their
+     * submission position.
      */
-    SchedulerStats run(std::vector<SuiteTask> tasks);
+    void run(std::vector<SuiteTask> tasks);
 
   private:
     Executor &executor_;
     obs::Tracer *tracer_;
-    obs::Counter *dispatchCounter_ = nullptr;
-    obs::Counter *stealCounter_ = nullptr;
+    obs::Counter *reordered_ = nullptr;
 };
 
 } // namespace alberta::runtime

@@ -101,9 +101,11 @@ TEST(Engine, MatchesBareSerialPathBitForBit)
     runtime::Engine twin(2);
     const auto c = core::characterize(*bm, request, twin);
     expectSameModelOutputs(a, c);
-    EXPECT_EQ(engine.stats().tasksRun, twin.stats().tasksRun);
-    EXPECT_EQ(engine.stats().cacheMisses, twin.stats().cacheMisses);
-    EXPECT_EQ(engine.stats().uopsRetired, twin.stats().uopsRetired);
+    for (const char *name : {"executor.tasks", "cache.misses",
+                             "model.runs", "model.uops_executed"})
+        EXPECT_EQ(engine.metrics().counter(name).value(),
+                  twin.metrics().counter(name).value())
+            << name;
 }
 
 /** The headline guarantee: tracing never changes model outputs. */
@@ -177,7 +179,10 @@ TEST(Engine, MetricsSnapshotCoversSessionActivity)
     EXPECT_GT(value("cache.hits"), 0.0);
     EXPECT_GT(value("cache.entries"), 0.0);
     EXPECT_EQ(value("executor.jobs"), 2.0);
-    EXPECT_GT(value("session.uops_retired"), 0.0);
+    EXPECT_GT(value("model.runs"), 0.0);
+    EXPECT_GT(value("model.uops_executed"), 0.0);
+    EXPECT_GE(value("executor.run_seconds"), 0.0);
+    EXPECT_GE(value("executor.queue_seconds"), 0.0);
 
     // Sorted by name, no duplicates.
     for (std::size_t i = 1; i < snapshot.size(); ++i)

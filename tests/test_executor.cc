@@ -44,16 +44,22 @@ TEST(Executor, DefaultJobsReadsEnvironment)
 TEST(Executor, ParallelForCoversEveryIndexOnce)
 {
     for (const int jobs : {1, 2, 8}) {
+        obs::Registry metrics;
         runtime::Executor executor(jobs);
+        executor.attachObservability(nullptr, &metrics);
         std::vector<std::atomic<int>> touched(100);
         executor.parallelFor(touched.size(), [&](std::size_t i) {
             touched[i].fetch_add(1);
         });
         for (const auto &count : touched)
             EXPECT_EQ(count.load(), 1);
-        const auto stats = executor.stats();
-        EXPECT_EQ(stats.tasksRun, 100u);
-        EXPECT_GE(stats.runSeconds, 0.0);
+        // Every task records one queue wait and one run time.
+        const obs::Histogram &run =
+            metrics.histogram("executor.run_seconds");
+        EXPECT_EQ(run.count(), 100u);
+        EXPECT_GE(run.min(), 0.0);
+        EXPECT_EQ(metrics.histogram("executor.queue_seconds").count(),
+                  100u);
     }
 }
 
@@ -160,13 +166,18 @@ TEST(ResultCache, StaleEntryMissesAfterContentChange)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     runtime::Workload w = bm->workloads().front();
-    runtime::ResultCache cache;
+    obs::Registry metrics;
+    runtime::ResultCache cache(metrics);
 
     const auto first = runtime::measureCached(*bm, w, &cache);
     EXPECT_EQ(cache.misses(), 1u);
     const auto again = runtime::measureCached(*bm, w, &cache);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(first.checksum, again.checksum);
+    // Only the miss executed the model.
+    EXPECT_EQ(metrics.counter("model.runs").value(), 1u);
+    EXPECT_EQ(metrics.counter("model.uops_executed").value(),
+              first.retiredOps);
 
     w.seed ^= 0xbeef;
     runtime::CachedRun out;
@@ -205,17 +216,21 @@ TEST(RunRequest, StatsAccumulateAcrossRuns)
     request.refrateRepetitions = 1;
 
     const auto c = core::characterize(*bm, request, engine);
-    // stats() is a locked snapshot; re-fetch after each run.
-    const auto cold = engine.stats();
+    obs::Registry &metrics = engine.metrics();
     // Every untimed workload is one pool task, and so is every timed
-    // refrate repetition.
-    EXPECT_EQ(cold.tasksRun, c.workloadNames.size() - 1 +
-                                 request.refrateRepetitions);
-    EXPECT_EQ(cold.cacheMisses, c.workloadNames.size());
-    EXPECT_EQ(cold.cacheHits, 0u);
+    // refrate repetition; each one executed the model.
+    const std::uint64_t tasks =
+        c.workloadNames.size() - 1 + request.refrateRepetitions;
+    EXPECT_EQ(metrics.counter("executor.tasks").value(), tasks);
+    EXPECT_EQ(metrics.histogram("executor.run_seconds").count(), tasks);
+    EXPECT_EQ(metrics.counter("model.runs").value(), tasks);
+    EXPECT_EQ(engine.cache().misses(), c.workloadNames.size());
+    EXPECT_EQ(engine.cache().hits(), 0u);
 
+    // The warm call replays every result and executes nothing.
     core::characterize(*bm, request, engine);
-    EXPECT_EQ(engine.stats().cacheHits, c.workloadNames.size());
+    EXPECT_EQ(engine.cache().hits(), c.workloadNames.size());
+    EXPECT_EQ(metrics.counter("model.runs").value(), tasks);
 }
 
 } // namespace

@@ -75,7 +75,8 @@ TEST(PersistentCache, RoundTripsARunBitExactly)
     run.measurement = runtime::runOnce(*bm, w);
     run.timedSeconds = {1.25, 0.5, 1e-9};
 
-    runtime::PersistentCache cache(freshDir("roundtrip"));
+    obs::Registry metrics;
+    runtime::PersistentCache cache(freshDir("roundtrip"), metrics);
     cache.store(*bm, w, run);
     EXPECT_EQ(cache.writes(), 1u);
     EXPECT_EQ(cache.writeFailures(), 0u);
@@ -90,7 +91,8 @@ TEST(PersistentCache, AbsentEntryIsAPlainMiss)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::PersistentCache cache(freshDir("absent"));
+    obs::Registry metrics;
+    runtime::PersistentCache cache(freshDir("absent"), metrics);
     runtime::CachedRun out;
     EXPECT_FALSE(cache.load(*bm, w, &out));
     EXPECT_EQ(cache.misses(), 1u);
@@ -105,13 +107,16 @@ TEST(PersistentCache, RejectsEntriesFromADifferentModelVersion)
     run.measurement = runtime::runOnce(*bm, w);
 
     const std::string dir = freshDir("version");
-    runtime::PersistentCache writer(dir, /*modelVersion=*/1);
+    obs::Registry writerMetrics, readerMetrics;
+    runtime::PersistentCache writer(dir, writerMetrics,
+                                    /*modelVersion=*/1);
     writer.store(*bm, w, run);
     ASSERT_TRUE(writer.load(*bm, w, nullptr));
 
     // Same directory, different model semantics: a silent miss, not a
     // corruption event.
-    runtime::PersistentCache reader(dir, /*modelVersion=*/2);
+    runtime::PersistentCache reader(dir, readerMetrics,
+                                    /*modelVersion=*/2);
     runtime::CachedRun out;
     EXPECT_FALSE(reader.load(*bm, w, &out));
     EXPECT_EQ(reader.misses(), 1u);
@@ -125,7 +130,8 @@ TEST(PersistentCache, TruncatedEntryIsACorruptMissNotACrash)
     runtime::CachedRun run;
     run.measurement = runtime::runOnce(*bm, w);
 
-    runtime::PersistentCache cache(freshDir("truncate"));
+    obs::Registry metrics;
+    runtime::PersistentCache cache(freshDir("truncate"), metrics);
     cache.store(*bm, w, run);
     const std::string path = cache.entryPath(*bm, w);
     const auto fullSize = fs::file_size(path);
@@ -145,7 +151,8 @@ TEST(PersistentCache, BitFlippedEntryIsACorruptMissNotACrash)
     runtime::CachedRun run;
     run.measurement = runtime::runOnce(*bm, w);
 
-    runtime::PersistentCache cache(freshDir("bitflip"));
+    obs::Registry metrics;
+    runtime::PersistentCache cache(freshDir("bitflip"), metrics);
     cache.store(*bm, w, run);
     const std::string path = cache.entryPath(*bm, w);
 
@@ -177,7 +184,8 @@ TEST(PersistentCache, GarbageFileIsACorruptMiss)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::PersistentCache cache(freshDir("garbage"));
+    obs::Registry metrics;
+    runtime::PersistentCache cache(freshDir("garbage"), metrics);
     {
         std::ofstream out(cache.entryPath(*bm, w), std::ios::binary);
         out << "this is not a cache entry at all";
@@ -187,15 +195,36 @@ TEST(PersistentCache, GarbageFileIsACorruptMiss)
     EXPECT_EQ(cache.corrupt(), 1u);
 }
 
+/** A write that cannot land is dropped, never fatal, and counted in
+ * the registry. */
+TEST(PersistentCache, WriteFailuresAreCounted)
+{
+    const auto bm = core::makeBenchmark("505.mcf_r");
+    const runtime::Workload w = bm->workloads().front();
+    runtime::CachedRun run;
+    run.measurement = runtime::runOnce(*bm, w);
+
+    const std::string dir = freshDir("write-failure");
+    obs::Registry metrics;
+    runtime::PersistentCache cache(dir, metrics);
+    fs::remove_all(dir); // the directory vanishes under the store
+    cache.store(*bm, w, run);
+    EXPECT_EQ(cache.writes(), 0u);
+    EXPECT_EQ(cache.writeFailures(), 1u);
+    EXPECT_EQ(metrics.counter("cache.disk_write_failures").value(), 1u);
+}
+
 TEST(PersistentCache, FatalsOnUnusableDirectory)
 {
-    EXPECT_THROW(runtime::PersistentCache(""), support::FatalError);
+    obs::Registry metrics;
+    EXPECT_THROW(runtime::PersistentCache("", metrics),
+                 support::FatalError);
     // A path whose parent is a regular file can never be a directory.
     const std::string dir = freshDir("blocked");
     fs::create_directories(dir);
     const std::string file = dir + "/occupied";
     { std::ofstream(file) << "x"; }
-    EXPECT_THROW(runtime::PersistentCache(file + "/sub"),
+    EXPECT_THROW(runtime::PersistentCache(file + "/sub", metrics),
                  support::FatalError);
 }
 
@@ -208,8 +237,9 @@ TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
     // Two stores on one directory (two "engines"), racing writes to
     // the same entry. Atomic rename means every subsequent load sees
     // one writer's complete entry — never a torn mix.
-    runtime::PersistentCache a(dir);
-    runtime::PersistentCache b(dir);
+    obs::Registry metricsA, metricsB, readerMetrics;
+    runtime::PersistentCache a(dir, metricsA);
+    runtime::PersistentCache b(dir, metricsB);
     runtime::CachedRun runA;
     runA.measurement = runtime::runOnce(*bm, w);
     runA.timedSeconds = {1.0};
@@ -236,7 +266,7 @@ TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
     tb.join();
     EXPECT_EQ(a.writeFailures() + b.writeFailures(), 0u);
 
-    runtime::PersistentCache reader(dir);
+    runtime::PersistentCache reader(dir, readerMetrics);
     runtime::CachedRun final;
     ASSERT_TRUE(reader.load(*bm, w, &final));
     EXPECT_EQ(reader.corrupt(), 0u);
@@ -271,8 +301,9 @@ TEST(PersistentCache, SecondEngineOnSameDirectoryServesFromDisk)
     EXPECT_TRUE(bitIdentical(cold.coverage.muGM, warm.coverage.muGM));
     EXPECT_EQ(cold.refrateRuns, warm.refrateRuns);
     EXPECT_EQ(second.disk()->hits(), warm.workloadNames.size());
-    EXPECT_EQ(second.stats().cacheHits, warm.workloadNames.size());
-    EXPECT_EQ(second.stats().cacheMisses, 0u);
+    EXPECT_EQ(second.cache().hits(), warm.workloadNames.size());
+    EXPECT_EQ(second.cache().misses(), 0u);
+    EXPECT_EQ(second.metrics().counter("model.runs").value(), 0u);
 
     // The disk counters surface in the metrics snapshot.
     bool sawDiskHits = false;
@@ -328,7 +359,7 @@ TEST(PersistentCache, ConcurrentEnginesRacingOverlappingWorkloads)
         runtime::Engine::Builder().jobs(2).cacheDir(dir).build();
     const auto bm = core::makeBenchmark("557.xz_r");
     const auto warm = core::characterize(*bm, request, third);
-    EXPECT_EQ(third.stats().cacheMisses, 0u);
+    EXPECT_EQ(third.cache().misses(), 0u);
     EXPECT_EQ(warm.checksumPerWorkload, fromA.checksumPerWorkload);
 }
 

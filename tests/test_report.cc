@@ -1,4 +1,5 @@
-/** @file Tests for the per-benchmark report renderer. */
+/** @file Tests for the per-benchmark report renderer and the metrics
+ * table. */
 #include <gtest/gtest.h>
 
 #include "core/report.h"
@@ -72,6 +73,32 @@ TEST(Report, RecordsRefrateRuns)
 {
     const std::string report = renderReport(characterizeMcf());
     EXPECT_NE(report.find("mean of 2 runs"), std::string::npos);
+}
+
+/** Text and Markdown print a counter as the whole number it is; JSON
+ * keeps its numeric value. */
+TEST(ReportWriter, MetricsPrintCountersAsIntegers)
+{
+    std::vector<obs::MetricSample> samples(2);
+    samples[0].name = "model.uops_executed";
+    samples[0].kind = "counter";
+    samples[0].count = 50941847;
+    samples[0].value = 50941847.0;
+    samples[1].name = "executor.jobs";
+    samples[1].kind = "gauge";
+    samples[1].value = 4.0;
+
+    for (const ReportFormat format :
+         {ReportFormat::Text, ReportFormat::Markdown}) {
+        const std::string table = ReportWriter(format).metrics(samples);
+        EXPECT_NE(table.find(" 50941847 "), std::string::npos) << table;
+        EXPECT_EQ(table.find("50941847."), std::string::npos) << table;
+        EXPECT_NE(table.find("4.000000"), std::string::npos) << table;
+    }
+    EXPECT_EQ(ReportWriter(ReportFormat::Json).metrics(samples),
+              "[{\"name\":\"model.uops_executed\",\"kind\":\"counter\","
+              "\"value\":50941847},{\"name\":\"executor.jobs\","
+              "\"kind\":\"gauge\",\"value\":4}]\n");
 }
 
 } // namespace

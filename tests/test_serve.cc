@@ -556,7 +556,7 @@ TEST(Serve, CharacterizePayloadReplaysByteIdenticallyFromSharedCache)
                                .build();
     const core::RunResult direct = core::execute(request, warm);
     EXPECT_EQ(direct.payload, servedPayload);
-    EXPECT_EQ(warm.stats().cacheMisses, 0u);
+    EXPECT_EQ(warm.cache().misses(), 0u);
 }
 
 TEST(Serve, FourConcurrentClientsGetSerialAnswersInFifoOrder)
