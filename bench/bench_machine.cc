@@ -15,8 +15,10 @@
  * all model outputs (slot totals, cache and predictor counters) are
  * folded into one 64-bit signature. The signature depends only on the
  * model's decisions — never on timing — so scripts/check_build.sh can
- * diff it against the committed BENCH_machine.json to detect any
- * semantic change to the model, however small.
+ * compare it with the committed BENCH_machine.json to detect any
+ * semantic change to the model, however small. The JSON record is
+ * written only when --json names a file; otherwise the results are
+ * only printed.
  *
  * The suite runs as three interleaved {null, traced} pass pairs after
  * one warm-up: tracing disabled (the null-sink fast path whose
@@ -161,7 +163,7 @@ runPass(std::uint64_t scale, obs::Tracer *tracer, const char *pass)
 int
 main(int argc, char **argv)
 {
-    std::string jsonPath = "BENCH_machine.json";
+    std::string jsonPath;
     std::string tracePath;
     std::uint64_t scale = 1;
     for (int i = 1; i < argc; ++i) {
@@ -250,6 +252,8 @@ main(int argc, char **argv)
         return rates[rates.size() / 2];
     };
 
+    if (jsonPath.empty())
+        return 0;
     std::ofstream json(jsonPath);
     json << "{\n"
          << "  \"bench\": \"machine\",\n"
