@@ -187,7 +187,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
                     span.note("rep", static_cast<std::uint64_t>(rep));
                     const runtime::RunMeasurement m =
                         runtime::runOnce(bm, slot.workloads[i]);
-                    cache.countRun(m);
+                    cache.countRun(m.retiredOps);
                     span.note("seconds", m.seconds);
                     span.note("uops", m.retiredOps);
                     if (rep == 0)

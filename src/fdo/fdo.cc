@@ -30,11 +30,14 @@ Profile::merge(const Profile &other)
 
 Profile
 collectProfile(const runtime::Benchmark &benchmark,
-               const runtime::Workload &workload)
+               const runtime::Workload &workload,
+               runtime::ResultCache *cache)
 {
     runtime::ExecutionContext context;
     context.machine().collectProfile(true);
     benchmark.run(workload, context);
+    if (cache)
+        cache->countRun(context.machine().retiredOps());
 
     Profile profile;
     profile.sites = context.machine().siteProfiles();
@@ -103,6 +106,8 @@ runOptimized(const runtime::Benchmark &benchmark,
     context.installOptimization(&optimization->hints,
                                 &optimization->layout);
     benchmark.run(workload, context);
+    if (cache)
+        cache->countRun(context.machine().retiredOps());
     m.cycles = context.machine().cycles();
     m.topdown = context.machine().ratios();
     m.checksum = context.checksum();
@@ -115,11 +120,12 @@ fdoSpeedup(const runtime::Benchmark &benchmark,
            const runtime::Workload &eval,
            runtime::ResultCache *cache)
 {
-    const Profile profile = collectProfile(benchmark, train);
+    const Profile profile = collectProfile(benchmark, train, cache);
     const Optimization opt = compileOptimization(profile);
     const FdoMeasurement base =
         runOptimized(benchmark, eval, nullptr, cache);
-    const FdoMeasurement tuned = runOptimized(benchmark, eval, &opt);
+    const FdoMeasurement tuned =
+        runOptimized(benchmark, eval, &opt, cache);
     support::panicIf(base.checksum != tuned.checksum,
                      "fdo: optimization changed program output");
     return base.cycles / tuned.cycles;
@@ -130,8 +136,18 @@ crossValidate(const runtime::Benchmark &benchmark,
               const std::string &trainName, runtime::Engine &engine)
 {
     const auto workloads = benchmark.workloads();
-    const runtime::Workload train =
-        runtime::findWorkload(benchmark, trainName);
+    const runtime::Workload *train = nullptr;
+    std::vector<const runtime::Workload *> evals;
+    for (const auto &w : workloads) {
+        if (w.name == trainName)
+            train = &w;
+        else
+            evals.push_back(&w);
+    }
+    support::fatalIf(!train, benchmark.name(), " has no workload named '",
+                     trainName, "'");
+    support::fatalIf(evals.empty(),
+                     "fdo: benchmark has no evaluation workloads");
 
     // The engine supplies the shared pool, baseline-run cache, and
     // tracing: one root span per cross-validation, one child span per
@@ -145,7 +161,7 @@ crossValidate(const runtime::Benchmark &benchmark,
     const Profile profile = [&] {
         obs::Span span(tracer, "collect_profile", "fdo_train",
                        root.id());
-        return collectProfile(benchmark, train);
+        return collectProfile(benchmark, *train, cache);
     }();
     const Optimization opt = compileOptimization(profile);
 
@@ -158,19 +174,12 @@ crossValidate(const runtime::Benchmark &benchmark,
         obs::Span eval(tracer, w.name, "fdo_eval", rootId);
         const FdoMeasurement base =
             runOptimized(benchmark, w, nullptr, cache);
-        const FdoMeasurement tuned = runOptimized(benchmark, w, &opt);
+        const FdoMeasurement tuned =
+            runOptimized(benchmark, w, &opt, cache);
         const double speedup = base.cycles / tuned.cycles;
         eval.note("speedup", speedup);
         return speedup;
     };
-
-    std::vector<const runtime::Workload *> evals;
-    for (const auto &w : workloads) {
-        if (w.name != trainName)
-            evals.push_back(&w);
-    }
-    support::fatalIf(evals.empty(),
-                     "fdo: benchmark has no evaluation workloads");
 
     // Every evaluation (and the self-evaluation) is an independent
     // pair of model runs; fan them out and gather in workload order.
@@ -178,7 +187,7 @@ crossValidate(const runtime::Benchmark &benchmark,
     engine.executor().parallelFor(
         evals.size() + 1, [&](std::size_t task) {
             if (task == evals.size())
-                cv.selfSpeedup = speedupOn(train);
+                cv.selfSpeedup = speedupOn(*train);
             else
                 speedups[task] = speedupOn(*evals[task]);
         });

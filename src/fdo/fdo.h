@@ -54,9 +54,14 @@ struct OptimizerConfig
     double hotScale = 0.55;      //!< code-footprint scale for hot code
 };
 
-/** Run @p workload once with profiling enabled; returns the profile. */
+/**
+ * Run @p workload once with profiling enabled; returns the profile.
+ * The run is counted in @p cache's `model.*` counters when one is
+ * given.
+ */
 Profile collectProfile(const runtime::Benchmark &benchmark,
-                       const runtime::Workload &workload);
+                       const runtime::Workload &workload,
+                       runtime::ResultCache *cache = nullptr);
 
 /** Compile a profile into branch hints + code layout. */
 Optimization compileOptimization(const Profile &profile,
@@ -75,7 +80,8 @@ struct FdoMeasurement
  *
  * Baseline runs (no optimization installed) are plain deterministic
  * model runs, so they are memoized in @p cache when one is given;
- * optimized runs depend on the installed artifacts and always execute.
+ * optimized runs depend on the installed artifacts and always execute
+ * (and are counted in @p cache's `model.*` counters).
  */
 FdoMeasurement runOptimized(const runtime::Benchmark &benchmark,
                             const runtime::Workload &workload,

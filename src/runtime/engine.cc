@@ -10,15 +10,9 @@ namespace alberta::runtime {
 Engine::Engine(Config config)
     : sink_(std::move(config.sink)), tracePath_(config.tracePath),
       cacheDir_(config.cacheDir), tracer_(sink_.get()),
-      executor_(config.jobs),
-      disk_(cacheDir_.empty()
-                ? nullptr
-                : std::make_unique<PersistentCache>(cacheDir_, metrics_)),
-      cache_(metrics_)
+      executor_(config.jobs), cache_(metrics_, cacheDir_)
 {
     executor_.attachObservability(&tracer_, &metrics_);
-    if (disk_)
-        cache_.attachPersistent(disk_.get());
 }
 
 void

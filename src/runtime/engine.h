@@ -33,7 +33,6 @@
 
 #include "obs/obs.h"
 #include "runtime/executor.h"
-#include "runtime/persistent_cache.h"
 #include "runtime/result_cache.h"
 
 namespace alberta::runtime {
@@ -57,10 +56,6 @@ class Engine
     ResultCache &cache() { return cache_; }
     obs::Registry &metrics() { return metrics_; }
     obs::Tracer &tracer() { return tracer_; }
-
-    /** On-disk result store backing the cache (nullptr when the
-     * engine was built without a cache directory). */
-    PersistentCache *disk() { return disk_.get(); }
 
     int jobs() const { return executor_.jobs(); }
     bool tracing() const { return tracer_.enabled(); }
@@ -105,8 +100,7 @@ class Engine
     obs::Registry metrics_;
     obs::Tracer tracer_;
     Executor executor_;
-    std::unique_ptr<PersistentCache> disk_; //!< null = memory only
-    ResultCache cache_;
+    ResultCache cache_; //!< disk-backed when cacheDir_ is set
 };
 
 /** Builder-style Engine configuration. */
@@ -128,8 +122,8 @@ class Engine::Builder
     Builder &traceSink(std::unique_ptr<obs::TraceSink> sink);
 
     /**
-     * Back the result cache with the on-disk store at @p dir (created
-     * if needed; "" disables persistence). `build()` raises
+     * Give the result cache a disk tier at @p dir (created if
+     * needed; "" disables persistence). `build()` raises
      * support::FatalError when the directory cannot be created.
      */
     Builder &

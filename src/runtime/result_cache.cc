@@ -1,10 +1,15 @@
 #include "runtime/result_cache.h"
 
-#include "obs/obs.h"
-#include "runtime/persistent_cache.h"
+#include <filesystem>
+
+#include "runtime/cache_entry.h"
+#include "source_digest.h" // generated: ALBERTA_SOURCE_DIGEST
+#include "support/check.h"
 #include "support/timing.h"
 
 namespace alberta::runtime {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -32,12 +37,45 @@ hashString(std::uint64_t &h, const std::string &s)
 
 } // namespace
 
-ResultCache::ResultCache(obs::Registry &metrics)
-    : hits_(metrics.counter("cache.hits")),
+/** The disk tier: one entry file per key under dir. */
+struct ResultCache::Disk
+{
+    std::string dir;
+    obs::Counter &hits;
+    obs::Counter &misses;
+    obs::Counter &corrupt; //!< unreadable entries, a subset of misses
+    obs::Counter &writes;
+    obs::Counter &writeFailures;
+};
+
+ResultCache::ResultCache(obs::Registry &metrics, const std::string &dir,
+                         std::uint64_t sourceDigest)
+    : sourceDigest_(sourceDigest),
+      hits_(metrics.counter("cache.hits")),
       misses_(metrics.counter("cache.misses")),
       modelRuns_(metrics.counter("model.runs")),
       modelUops_(metrics.counter("model.uops_executed"))
 {
+    if (dir.empty())
+        return;
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    support::fatalIf(ec || !fs::is_directory(dir),
+                     "persistent cache: cannot create cache directory '",
+                     dir, "'", ec ? (": " + ec.message()) : "");
+    disk_.reset(new Disk{dir, metrics.counter("cache.disk_hits"),
+                         metrics.counter("cache.disk_misses"),
+                         metrics.counter("cache.disk_corrupt"),
+                         metrics.counter("cache.disk_writes"),
+                         metrics.counter("cache.disk_write_failures")});
+}
+
+ResultCache::~ResultCache() = default;
+
+std::uint64_t
+ResultCache::buildDigest()
+{
+    return ALBERTA_SOURCE_DIGEST;
 }
 
 std::uint64_t
@@ -61,71 +99,81 @@ ResultCache::fingerprint(const Benchmark &benchmark,
     return h;
 }
 
-std::string
-ResultCache::key(const Benchmark &benchmark, const Workload &workload)
+std::uint64_t
+ResultCache::key(const Benchmark &benchmark,
+                 const Workload &workload) const
 {
-    return benchmark.name() + '/' + workload.name;
+    const std::uint64_t fp = fingerprint(benchmark, workload);
+    std::uint64_t h = kFnvOffset;
+    hashBytes(h, &sourceDigest_, sizeof sourceDigest_);
+    hashBytes(h, &fp, sizeof fp);
+    return h;
 }
 
 bool
 ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
                     CachedRun *out) const
 {
-    const std::string k = key(benchmark, workload);
-    const std::uint64_t fp = fingerprint(benchmark, workload);
+    const std::uint64_t k = key(benchmark, workload);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(k);
-        if (it != entries_.end() && it->second.fingerprint == fp) {
+        if (it != entries_.end() &&
+            it->second.benchmark == benchmark.name() &&
+            it->second.workload == workload.name) {
             if (out)
                 *out = it->second.run;
             hits_.add(1);
             return true;
         }
     }
-    // Fall through to the on-disk store; a disk hit is promoted into
-    // the memory table so later probes stay in-process.
-    CachedRun fromDisk;
-    if (disk_ && disk_->load(benchmark, workload, &fromDisk)) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            Entry &entry = entries_[k];
-            entry.fingerprint = fp;
-            entry.run = fromDisk;
-        }
-        if (out)
-            *out = std::move(fromDisk);
-        hits_.add(1);
-        return true;
+    if (!disk_) {
+        misses_.add(1);
+        return false;
     }
-    misses_.add(1);
-    return false;
+    // Fall through to the disk tier; a disk hit is promoted into the
+    // memory table so later probes stay in-process.
+    Entry loaded{benchmark.name(), workload.name, {}};
+    const entry::Read read =
+        entry::read(disk_->dir, k, loaded.benchmark,
+                    loaded.workload, &loaded.run);
+    if (read != entry::Read::Hit) {
+        disk_->misses.add(1);
+        if (read == entry::Read::Corrupt)
+            disk_->corrupt.add(1);
+        misses_.add(1);
+        return false;
+    }
+    disk_->hits.add(1);
+    hits_.add(1);
+    if (out)
+        *out = loaded.run;
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_[k] = std::move(loaded);
+    return true;
 }
 
 void
-ResultCache::countRun(const RunMeasurement &run) const
+ResultCache::countRun(std::uint64_t retiredOps) const
 {
     modelRuns_.add(1);
-    modelUops_.add(run.retiredOps);
-}
-
-void
-ResultCache::attachPersistent(const PersistentCache *disk)
-{
-    disk_ = disk;
+    modelUops_.add(retiredOps);
 }
 
 void
 ResultCache::insert(const Benchmark &benchmark, const Workload &workload,
                     CachedRun run)
 {
-    if (disk_)
-        disk_->store(benchmark, workload, run);
-    Entry entry;
-    entry.fingerprint = fingerprint(benchmark, workload);
-    entry.run = std::move(run);
+    const std::uint64_t k = key(benchmark, workload);
+    Entry fresh{benchmark.name(), workload.name, std::move(run)};
+    if (disk_) {
+        const bool written =
+            entry::write(disk_->dir, k, fresh.benchmark,
+                         fresh.workload, fresh.run);
+        (written ? disk_->writes : disk_->writeFailures).add(1);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_[key(benchmark, workload)] = std::move(entry);
+    entries_[k] = std::move(fresh);
 }
 
 std::size_t
@@ -165,7 +213,7 @@ measureCached(const Benchmark &benchmark, const Workload &workload,
     if (cache->lookup(benchmark, workload, &cached))
         return cached.measurement;
     cached.measurement = runOnceCpuCosted(benchmark, workload);
-    cache->countRun(cached.measurement);
+    cache->countRun(cached.measurement.retiredOps);
     cache->insert(benchmark, workload, cached);
     return cached.measurement;
 }

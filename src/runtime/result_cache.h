@@ -1,20 +1,28 @@
 /**
  * @file
- * Content-addressed cache of deterministic model runs.
+ * Content-addressed cache of deterministic model runs, in memory and,
+ * given a directory, on disk.
  *
  * A workload is a pure function of its seed and parameters, and the
  * model outputs of a run (top-down fractions, coverage, checksum,
  * retired ops, simulated cycles) are pure functions of the (benchmark,
- * workload) pair. The cache keys on a fingerprint of that content so
- * repeated characterizations — Table II re-runs, the figure benches,
- * FDO cross-validation baselines — never recompute an identical model
- * run. Wall-clock seconds stored alongside are the times measured when
- * the entry was first computed.
+ * workload) pair and of the model's code. Every entry is keyed once,
+ * on a 64-bit digest of two things: the model-source digest (every
+ * .h, .cc and CMakeLists.txt under src/, hashed at build time, so any
+ * edit to a kernel, the machine or this cache's own file format makes
+ * every old entry miss) and @ref ResultCache::fingerprint of the
+ * workload's content. The benchmark and workload names are stored
+ * with each entry as the collision guard. Repeated characterizations
+ * (Table II re-runs, the figure benches, FDO baselines, a second
+ * process on the same cache directory) never recompute an identical
+ * model run. Wall-clock seconds stored alongside are the times
+ * measured when the entry was first computed.
  */
 #ifndef ALBERTA_RUNTIME_RESULT_CACHE_H
 #define ALBERTA_RUNTIME_RESULT_CACHE_H
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -25,8 +33,6 @@
 
 namespace alberta::runtime {
 
-class PersistentCache;
-
 /** One memoized run: model outputs plus any recorded timing runs. */
 struct CachedRun
 {
@@ -36,23 +42,36 @@ struct CachedRun
 };
 
 /**
- * Thread-safe memoization table for deterministic run measurements.
- *
- * Entries are addressed by benchmark name, workload name, and a 64-bit
- * FNV-1a fingerprint over the workload's full content (seed, parameter
- * bag, generated artifacts), so a workload edited in place — same name,
- * different content — misses instead of returning stale results.
+ * Thread-safe memoization table for deterministic run measurements,
+ * with an optional disk tier: one file per entry, so a later process
+ * on the same directory starts warm. Memory misses probe the disk and
+ * promote its hits; every insert writes through. Corrupt, truncated
+ * or foreign entry files are misses, never crashes.
  */
 class ResultCache
 {
   public:
     /**
      * @param metrics registry holding this cache's counters:
-     *        `cache.hits` / `cache.misses` per probe and
+     *        `cache.hits` / `cache.misses` per probe,
      *        `model.runs` / `model.uops_executed` per executed run
-     *        (see @ref countRun). Must outlive the cache.
+     *        (see @ref countRun) and, with a directory, the disk
+     *        tier's `cache.disk_{hits,misses,corrupt,writes,
+     *        write_failures}`. Must outlive the cache.
+     * @param dir disk tier directory, created if needed ("" = memory
+     *        only).
+     * @param sourceDigest model-source digest the keys cover; tests
+     *        pass their own to act as another build of the model.
+     * @throws support::FatalError when @p dir cannot be created or
+     *         used as a directory.
      */
-    explicit ResultCache(obs::Registry &metrics);
+    explicit ResultCache(obs::Registry &metrics,
+                         const std::string &dir = "",
+                         std::uint64_t sourceDigest = buildDigest());
+    ~ResultCache();
+
+    /** Digest of the model sources this binary was built from. */
+    static std::uint64_t buildDigest();
 
     /** Fingerprint of the (benchmark, workload) content. */
     static std::uint64_t fingerprint(const Benchmark &benchmark,
@@ -62,48 +81,46 @@ class ResultCache
     bool lookup(const Benchmark &benchmark, const Workload &workload,
                 CachedRun *out) const;
 
-    /** Insert (or overwrite) the entry for this run. */
+    /** Insert (or overwrite) the entry for this run. A disk write is
+     * best effort: a failure is counted, never raised. */
     void insert(const Benchmark &benchmark, const Workload &workload,
                 CachedRun run);
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
+    /** Memory-tier entry count. */
     std::size_t size() const;
 
     /**
-     * Count one executed model run and its retired uops. measureCached
-     * calls it on a miss; timed refrate repetitions, which run outside
-     * the cache, call it once per repetition. A replay counts nothing.
+     * Count one executed model run of @p retiredOps uops.
+     * measureCached calls it on a miss; timed refrate repetitions and
+     * FDO's profile and optimized runs, which run outside the cache,
+     * call it once per run. A replay counts nothing.
      */
-    void countRun(const RunMeasurement &run) const;
-
-    /**
-     * Back this cache with an on-disk store (non-owning; nullptr
-     * detaches). Lookups falling through the in-memory table probe
-     * the store and promote disk hits into memory — a disk-backed hit
-     * counts as a hit here and as a disk hit on @p disk — and every
-     * insert writes through, so a later process starts warm.
-     */
-    void attachPersistent(const PersistentCache *disk);
+    void countRun(std::uint64_t retiredOps) const;
 
   private:
     struct Entry
     {
-        std::uint64_t fingerprint = 0;
+        std::string benchmark; //!< the names guard key collisions
+        std::string workload;
         CachedRun run;
     };
+    struct Disk; //!< the disk tier (result_cache.cc)
 
-    static std::string key(const Benchmark &benchmark,
-                           const Workload &workload);
+    /** The one key both tiers use; hashes the workload once. */
+    std::uint64_t key(const Benchmark &benchmark,
+                      const Workload &workload) const;
 
+    const std::uint64_t sourceDigest_;
     mutable std::mutex mutex_;
     /** Mutable: lookup() promotes disk hits into the memory table. */
-    mutable std::unordered_map<std::string, Entry> entries_;
+    mutable std::unordered_map<std::uint64_t, Entry> entries_;
     obs::Counter &hits_;
     obs::Counter &misses_;
     obs::Counter &modelRuns_;
     obs::Counter &modelUops_;
-    const PersistentCache *disk_ = nullptr;
+    std::unique_ptr<const Disk> disk_; //!< null = memory only
 };
 
 /**

@@ -88,7 +88,8 @@ RequestQueue::pop(QueueJob *out)
         out->deadlineMs > 0 && out->waitedMs > out->deadlineMs;
     if (out->expired)
         ++expired_;
-    waitSamplesMs_.push_back(static_cast<double>(out->waitedMs));
+    if (waitSamplesMs_.size() < kMaxWaitSamples)
+        waitSamplesMs_.push_back(static_cast<double>(out->waitedMs));
     return true;
 }
 

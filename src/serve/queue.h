@@ -122,8 +122,13 @@ class RequestQueue
     /** Jobs handed out already past their deadline. */
     std::uint64_t expired() const;
 
+    /** pop() keeps at most this many wait samples between takes, so
+     * a daemon nobody drains does not grow per request. */
+    static constexpr std::size_t kMaxWaitSamples = 65536;
+
     /** Drain the queue-wait samples (ms) recorded by pop() since the
-     * last call — the bench harness's latency source. */
+     * last call (the first @ref kMaxWaitSamples of them) — the bench
+     * harness's latency source. */
     std::vector<double> takeWaitSamplesMs();
 
   private:

@@ -98,6 +98,10 @@ TEST(Fdo, CrossValidationProducesFullReport)
     EXPECT_GE(cv.maxCross, cv.minCross);
     EXPECT_GE(cv.maxCross, cv.meanCross);
     EXPECT_LE(cv.minCross, cv.meanCross + 1e-12);
+    // Every executed model run is counted: 1 profile run, 7 baseline
+    // misses (6 evaluations + the self-evaluation), 7 optimized runs.
+    EXPECT_EQ(engine.metrics().counter("model.runs").value(), 15u);
+    EXPECT_EQ(engine.metrics().counter("cache.misses").value(), 7u);
 }
 
 TEST(Fdo, SpeedupHelperMatchesManualPath)

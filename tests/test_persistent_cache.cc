@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for runtime::PersistentCache, the on-disk store behind the
- * result cache: bit-exact round-trips, model-version rejection,
- * corruption tolerance (truncated and bit-flipped entries must be
- * misses, never crashes), concurrent writers on one directory, and
- * the disk-warm second-engine path end to end.
+ * Tests for runtime::ResultCache's disk tier, which lets a second
+ * *process* start warm: bit-exact round-trips, the source-digest key
+ * (entries of another build are plain misses), corruption tolerance
+ * (truncated, bit-flipped and garbage entries must be misses, never
+ * crashes), concurrent writers on one directory, and the disk-warm
+ * second-engine path end to end. Every count is read from the
+ * registry.
  */
 #include <gtest/gtest.h>
 
@@ -20,7 +22,7 @@
 #include <vector>
 
 #include "core/suite.h"
-#include "runtime/persistent_cache.h"
+#include "runtime/result_cache.h"
 #include "support/check.h"
 
 namespace {
@@ -39,6 +41,33 @@ freshDir(const std::string &tag)
                           std::to_string(counter++));
     fs::remove_all(dir);
     return dir.string();
+}
+
+/** The one entry file the tests' single insert left in @p dir. */
+std::string
+entryFile(const std::string &dir)
+{
+    std::vector<fs::path> files;
+    for (const auto &e : fs::directory_iterator(dir))
+        files.push_back(e.path());
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? "" : files.front().string();
+}
+
+std::uint64_t
+count(obs::Registry &metrics, const std::string &name)
+{
+    return metrics.counter(name).value();
+}
+
+bool
+hasMetric(const obs::Registry &metrics, const std::string &name)
+{
+    for (const auto &s : metrics.snapshot()) {
+        if (s.name == name)
+            return true;
+    }
+    return false;
 }
 
 bool
@@ -67,23 +96,35 @@ expectSameRun(const runtime::CachedRun &a, const runtime::CachedRun &b)
         EXPECT_TRUE(bitIdentical(a.timedSeconds[i], b.timedSeconds[i]));
 }
 
+/** One cold run of @p w, with recorded timings. */
+runtime::CachedRun
+coldRun(const runtime::Benchmark &bm, const runtime::Workload &w)
+{
+    runtime::CachedRun run;
+    run.measurement = runtime::runOnce(bm, w);
+    run.timedSeconds = {1.25, 0.5, 1e-9};
+    return run;
+}
+
 TEST(PersistentCache, RoundTripsARunBitExactly)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::CachedRun run;
-    run.measurement = runtime::runOnce(*bm, w);
-    run.timedSeconds = {1.25, 0.5, 1e-9};
+    const runtime::CachedRun run = coldRun(*bm, w);
 
-    obs::Registry metrics;
-    runtime::PersistentCache cache(freshDir("roundtrip"), metrics);
-    cache.store(*bm, w, run);
-    EXPECT_EQ(cache.writes(), 1u);
-    EXPECT_EQ(cache.writeFailures(), 0u);
+    const std::string dir = freshDir("roundtrip");
+    obs::Registry writerMetrics, readerMetrics;
+    runtime::ResultCache writer(writerMetrics, dir);
+    writer.insert(*bm, w, run);
+    EXPECT_EQ(count(writerMetrics, "cache.disk_writes"), 1u);
+    EXPECT_EQ(count(writerMetrics, "cache.disk_write_failures"), 0u);
 
+    // A fresh cache has an empty memory tier: the hit is the disk's.
+    runtime::ResultCache reader(readerMetrics, dir);
     runtime::CachedRun loaded;
-    ASSERT_TRUE(cache.load(*bm, w, &loaded));
-    EXPECT_EQ(cache.hits(), 1u);
+    ASSERT_TRUE(reader.lookup(*bm, w, &loaded));
+    EXPECT_EQ(count(readerMetrics, "cache.disk_hits"), 1u);
+    EXPECT_EQ(reader.hits(), 1u);
     expectSameRun(run, loaded);
 }
 
@@ -92,69 +133,70 @@ TEST(PersistentCache, AbsentEntryIsAPlainMiss)
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
     obs::Registry metrics;
-    runtime::PersistentCache cache(freshDir("absent"), metrics);
+    runtime::ResultCache cache(metrics, freshDir("absent"));
     runtime::CachedRun out;
-    EXPECT_FALSE(cache.load(*bm, w, &out));
+    EXPECT_FALSE(cache.lookup(*bm, w, &out));
+    EXPECT_EQ(count(metrics, "cache.disk_misses"), 1u);
+    EXPECT_EQ(count(metrics, "cache.disk_corrupt"), 0u);
     EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.corrupt(), 0u);
 }
 
+/** Entries written by another build of the model (another source
+ * digest) are plain misses on the same directory, not corruption. */
 TEST(PersistentCache, RejectsEntriesFromADifferentModelVersion)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::CachedRun run;
-    run.measurement = runtime::runOnce(*bm, w);
-
     const std::string dir = freshDir("version");
-    obs::Registry writerMetrics, readerMetrics;
-    runtime::PersistentCache writer(dir, writerMetrics,
-                                    /*modelVersion=*/1);
-    writer.store(*bm, w, run);
-    ASSERT_TRUE(writer.load(*bm, w, nullptr));
+    obs::Registry writerMetrics, sameMetrics, otherMetrics;
+    runtime::ResultCache writer(writerMetrics, dir, /*sourceDigest=*/1);
+    writer.insert(*bm, w, coldRun(*bm, w));
 
-    // Same directory, different model semantics: a silent miss, not a
-    // corruption event.
-    runtime::PersistentCache reader(dir, readerMetrics,
-                                    /*modelVersion=*/2);
+    runtime::ResultCache same(sameMetrics, dir, /*sourceDigest=*/1);
+    EXPECT_TRUE(same.lookup(*bm, w, nullptr));
+
+    runtime::ResultCache other(otherMetrics, dir, /*sourceDigest=*/2);
     runtime::CachedRun out;
-    EXPECT_FALSE(reader.load(*bm, w, &out));
-    EXPECT_EQ(reader.misses(), 1u);
-    EXPECT_EQ(reader.corrupt(), 0u);
+    EXPECT_FALSE(other.lookup(*bm, w, &out));
+    EXPECT_EQ(count(otherMetrics, "cache.disk_misses"), 1u);
+    EXPECT_EQ(count(otherMetrics, "cache.disk_corrupt"), 0u);
+    // The default digest is this build's.
+    obs::Registry buildMetrics;
+    runtime::ResultCache build(buildMetrics, dir);
+    EXPECT_FALSE(build.lookup(*bm, w, nullptr));
+    EXPECT_NE(runtime::ResultCache::buildDigest(), 1u);
 }
 
 TEST(PersistentCache, TruncatedEntryIsACorruptMissNotACrash)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::CachedRun run;
-    run.measurement = runtime::runOnce(*bm, w);
-
-    obs::Registry metrics;
-    runtime::PersistentCache cache(freshDir("truncate"), metrics);
-    cache.store(*bm, w, run);
-    const std::string path = cache.entryPath(*bm, w);
+    const std::string dir = freshDir("truncate");
+    obs::Registry writerMetrics, metrics;
+    runtime::ResultCache(writerMetrics, dir).insert(*bm, w,
+                                                    coldRun(*bm, w));
+    runtime::ResultCache cache(metrics, dir);
+    const std::string path = entryFile(dir);
     const auto fullSize = fs::file_size(path);
     for (const std::uintmax_t size :
          {fullSize / 2, std::uintmax_t{3}, std::uintmax_t{0}}) {
         fs::resize_file(path, size);
         runtime::CachedRun out;
-        EXPECT_FALSE(cache.load(*bm, w, &out)) << "size " << size;
+        EXPECT_FALSE(cache.lookup(*bm, w, &out)) << "size " << size;
     }
-    EXPECT_EQ(cache.corrupt(), 3u);
+    EXPECT_EQ(count(metrics, "cache.disk_corrupt"), 3u);
 }
 
 TEST(PersistentCache, BitFlippedEntryIsACorruptMissNotACrash)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::CachedRun run;
-    run.measurement = runtime::runOnce(*bm, w);
-
-    obs::Registry metrics;
-    runtime::PersistentCache cache(freshDir("bitflip"), metrics);
-    cache.store(*bm, w, run);
-    const std::string path = cache.entryPath(*bm, w);
+    const runtime::CachedRun run = coldRun(*bm, w);
+    const std::string dir = freshDir("bitflip");
+    obs::Registry writerMetrics, metrics;
+    runtime::ResultCache writer(writerMetrics, dir);
+    writer.insert(*bm, w, run);
+    const std::string path = entryFile(dir);
 
     // Flip one bit of the trailing payload checksum: the entry stays
     // well-formed but can no longer verify.
@@ -170,13 +212,14 @@ TEST(PersistentCache, BitFlippedEntryIsACorruptMissNotACrash)
     file.write(&byte, 1);
     file.close();
 
+    runtime::ResultCache cache(metrics, dir);
     runtime::CachedRun out;
-    EXPECT_FALSE(cache.load(*bm, w, &out));
-    EXPECT_EQ(cache.corrupt(), 1u);
+    EXPECT_FALSE(cache.lookup(*bm, w, &out));
+    EXPECT_EQ(count(metrics, "cache.disk_corrupt"), 1u);
 
     // A clean rewrite recovers the entry.
-    cache.store(*bm, w, run);
-    EXPECT_TRUE(cache.load(*bm, w, &out));
+    writer.insert(*bm, w, run);
+    EXPECT_TRUE(cache.lookup(*bm, w, &out));
     expectSameRun(run, out);
 }
 
@@ -184,48 +227,52 @@ TEST(PersistentCache, GarbageFileIsACorruptMiss)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    obs::Registry metrics;
-    runtime::PersistentCache cache(freshDir("garbage"), metrics);
+    const std::string dir = freshDir("garbage");
+    obs::Registry writerMetrics, metrics;
+    runtime::ResultCache(writerMetrics, dir).insert(*bm, w,
+                                                    coldRun(*bm, w));
     {
-        std::ofstream out(cache.entryPath(*bm, w), std::ios::binary);
+        std::ofstream out(entryFile(dir),
+                          std::ios::binary | std::ios::trunc);
         out << "this is not a cache entry at all";
     }
+    runtime::ResultCache cache(metrics, dir);
     runtime::CachedRun out;
-    EXPECT_FALSE(cache.load(*bm, w, &out));
-    EXPECT_EQ(cache.corrupt(), 1u);
+    EXPECT_FALSE(cache.lookup(*bm, w, &out));
+    EXPECT_EQ(count(metrics, "cache.disk_corrupt"), 1u);
 }
 
 /** A write that cannot land is dropped, never fatal, and counted in
- * the registry. */
+ * the registry; the memory tier still holds the run. */
 TEST(PersistentCache, WriteFailuresAreCounted)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");
     const runtime::Workload w = bm->workloads().front();
-    runtime::CachedRun run;
-    run.measurement = runtime::runOnce(*bm, w);
-
     const std::string dir = freshDir("write-failure");
     obs::Registry metrics;
-    runtime::PersistentCache cache(dir, metrics);
-    fs::remove_all(dir); // the directory vanishes under the store
-    cache.store(*bm, w, run);
-    EXPECT_EQ(cache.writes(), 0u);
-    EXPECT_EQ(cache.writeFailures(), 1u);
-    EXPECT_EQ(metrics.counter("cache.disk_write_failures").value(), 1u);
+    runtime::ResultCache cache(metrics, dir);
+    fs::remove_all(dir); // the directory vanishes under the cache
+    cache.insert(*bm, w, coldRun(*bm, w));
+    EXPECT_EQ(count(metrics, "cache.disk_writes"), 0u);
+    EXPECT_EQ(count(metrics, "cache.disk_write_failures"), 1u);
+    EXPECT_TRUE(cache.lookup(*bm, w, nullptr));
 }
 
 TEST(PersistentCache, FatalsOnUnusableDirectory)
 {
-    obs::Registry metrics;
-    EXPECT_THROW(runtime::PersistentCache("", metrics),
-                 support::FatalError);
     // A path whose parent is a regular file can never be a directory.
     const std::string dir = freshDir("blocked");
     fs::create_directories(dir);
     const std::string file = dir + "/occupied";
     { std::ofstream(file) << "x"; }
-    EXPECT_THROW(runtime::PersistentCache(file + "/sub", metrics),
+    obs::Registry metrics;
+    EXPECT_THROW(runtime::ResultCache(metrics, file + "/sub"),
                  support::FatalError);
+    // No directory is no disk tier (the CLI refuses an explicitly
+    // empty --cache-dir, see EngineBuilder.CacheDirOptionPrecedence).
+    obs::Registry memoryOnly;
+    runtime::ResultCache cache(memoryOnly, "");
+    EXPECT_FALSE(hasMetric(memoryOnly, "cache.disk_hits"));
 }
 
 TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
@@ -234,12 +281,13 @@ TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
     const runtime::Workload w = bm->workloads().front();
     const std::string dir = freshDir("concurrent");
 
-    // Two stores on one directory (two "engines"), racing writes to
-    // the same entry. Atomic rename means every subsequent load sees
-    // one writer's complete entry — never a torn mix.
+    // Two caches on one directory (two "engines"), racing writes to
+    // the same entry while fresh caches read it from disk. Atomic
+    // rename means every load sees one writer's complete entry —
+    // never a torn mix.
     obs::Registry metricsA, metricsB, readerMetrics;
-    runtime::PersistentCache a(dir, metricsA);
-    runtime::PersistentCache b(dir, metricsB);
+    runtime::ResultCache a(metricsA, dir);
+    runtime::ResultCache b(metricsB, dir);
     runtime::CachedRun runA;
     runA.measurement = runtime::runOnce(*bm, w);
     runA.timedSeconds = {1.0};
@@ -249,13 +297,14 @@ TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
     constexpr int kRounds = 64;
     std::thread ta([&] {
         for (int i = 0; i < kRounds; ++i)
-            a.store(*bm, w, runA);
+            a.insert(*bm, w, runA);
     });
     std::thread tb([&] {
         for (int i = 0; i < kRounds; ++i) {
-            b.store(*bm, w, runB);
+            b.insert(*bm, w, runB);
+            runtime::ResultCache fresh(readerMetrics, dir);
             runtime::CachedRun seen;
-            if (b.load(*bm, w, &seen)) {
+            if (fresh.lookup(*bm, w, &seen)) {
                 ASSERT_EQ(seen.timedSeconds.size(), 1u);
                 EXPECT_TRUE(seen.timedSeconds[0] == 1.0 ||
                             seen.timedSeconds[0] == 2.0);
@@ -264,12 +313,15 @@ TEST(PersistentCache, ConcurrentWritersNeverTearAnEntry)
     });
     ta.join();
     tb.join();
-    EXPECT_EQ(a.writeFailures() + b.writeFailures(), 0u);
+    EXPECT_EQ(count(metricsA, "cache.disk_write_failures") +
+                  count(metricsB, "cache.disk_write_failures"),
+              0u);
+    EXPECT_EQ(count(readerMetrics, "cache.disk_corrupt"), 0u);
 
-    runtime::PersistentCache reader(dir, readerMetrics);
+    runtime::ResultCache reader(readerMetrics, dir);
     runtime::CachedRun final;
-    ASSERT_TRUE(reader.load(*bm, w, &final));
-    EXPECT_EQ(reader.corrupt(), 0u);
+    ASSERT_TRUE(reader.lookup(*bm, w, &final));
+    EXPECT_EQ(count(readerMetrics, "cache.disk_corrupt"), 0u);
     ASSERT_EQ(final.timedSeconds.size(), 1u);
     EXPECT_TRUE(final.timedSeconds[0] == 1.0 ||
                 final.timedSeconds[0] == 2.0);
@@ -286,8 +338,8 @@ TEST(PersistentCache, SecondEngineOnSameDirectoryServesFromDisk)
     core::RunRequest request;
     request.refrateRepetitions = 2;
     const auto cold = core::characterize(*bm, request, first);
-    ASSERT_NE(first.disk(), nullptr);
-    EXPECT_EQ(first.disk()->writes(), cold.workloadNames.size());
+    EXPECT_EQ(count(first.metrics(), "cache.disk_writes"),
+              cold.workloadNames.size());
 
     // Fresh engine, fresh (empty) memory cache, same directory: every
     // model run is served from disk and outputs are bit-identical.
@@ -300,7 +352,8 @@ TEST(PersistentCache, SecondEngineOnSameDirectoryServesFromDisk)
     EXPECT_TRUE(bitIdentical(cold.topdown.muGV, warm.topdown.muGV));
     EXPECT_TRUE(bitIdentical(cold.coverage.muGM, warm.coverage.muGM));
     EXPECT_EQ(cold.refrateRuns, warm.refrateRuns);
-    EXPECT_EQ(second.disk()->hits(), warm.workloadNames.size());
+    EXPECT_EQ(count(second.metrics(), "cache.disk_hits"),
+              warm.workloadNames.size());
     EXPECT_EQ(second.cache().hits(), warm.workloadNames.size());
     EXPECT_EQ(second.cache().misses(), 0u);
     EXPECT_EQ(second.metrics().counter("model.runs").value(), 0u);
@@ -350,9 +403,11 @@ TEST(PersistentCache, ConcurrentEnginesRacingOverlappingWorkloads)
     EXPECT_TRUE(
         bitIdentical(fromA.coverage.muGM, fromB.coverage.muGM));
     // ...and nothing tore on disk.
-    EXPECT_EQ(a.disk()->writeFailures() + b.disk()->writeFailures(),
-              0u);
-    EXPECT_EQ(a.disk()->corrupt() + b.disk()->corrupt(), 0u);
+    for (runtime::Engine *engine : {&a, &b}) {
+        EXPECT_EQ(count(engine->metrics(), "cache.disk_write_failures"),
+                  0u);
+        EXPECT_EQ(count(engine->metrics(), "cache.disk_corrupt"), 0u);
+    }
 
     // A third engine starts fully warm from the shared directory.
     runtime::Engine third =
@@ -396,7 +451,7 @@ TEST(EngineBuilder, CacheDirOptionPrecedence)
                                      .cacheDirOption("", false)
                                      .build();
         EXPECT_EQ(engine.cacheDir(), ""); // no flag, no env: off
-        EXPECT_EQ(engine.disk(), nullptr);
+        EXPECT_FALSE(hasMetric(engine.metrics(), "cache.disk_hits"));
     }
 }
 

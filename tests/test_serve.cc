@@ -477,6 +477,25 @@ TEST(RequestQueue, DeadlinesEvaluatedAtPopAgainstInjectedClock)
     EXPECT_TRUE(queue.takeWaitSamplesMs().empty()); // drained
 }
 
+TEST(RequestQueue, WaitSamplesAreCappedBetweenTakes)
+{
+    serve::RequestQueue queue(4);
+    const std::size_t pops = serve::RequestQueue::kMaxWaitSamples + 10;
+    serve::QueueJob out;
+    for (std::size_t i = 0; i < pops; ++i) {
+        ASSERT_TRUE(queue.push(job(1, i)));
+        ASSERT_TRUE(queue.pop(&out));
+        queue.finish(1);
+    }
+    EXPECT_EQ(queue.takeWaitSamplesMs().size(),
+              serve::RequestQueue::kMaxWaitSamples);
+    // A take empties the buffer and re-opens it.
+    ASSERT_TRUE(queue.push(job(1, pops)));
+    ASSERT_TRUE(queue.pop(&out));
+    queue.finish(1);
+    EXPECT_EQ(queue.takeWaitSamplesMs().size(), 1u);
+}
+
 TEST(RequestQueue, FullQueueRejectsWithoutBlocking)
 {
     serve::RequestQueue queue(2);
@@ -1017,8 +1036,14 @@ TEST(Serve, TwoDaemonsTolerateRacingOnOneCacheDirectory)
     ASSERT_FALSE(payloadA.empty());
     EXPECT_EQ(payloadA, payloadB); // deterministic: the race writes
                                    // identical bytes
-    EXPECT_EQ(a->engine().disk()->writeFailures() +
-                  b->engine().disk()->writeFailures(),
+    EXPECT_EQ(a->engine()
+                      .metrics()
+                      .counter("cache.disk_write_failures")
+                      .value() +
+                  b->engine()
+                      .metrics()
+                      .counter("cache.disk_write_failures")
+                      .value(),
               0u);
 }
 
