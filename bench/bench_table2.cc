@@ -16,8 +16,8 @@
  */
 #include <iostream>
 
+#include "core/report.h"
 #include "core/suite.h"
-#include "support/table.h"
 
 int
 main()
@@ -31,10 +31,7 @@ main()
     runtime::Engine engine;
     const auto rows = core::characterizeTable2(core::RunRequest{}, engine);
 
-    support::Table table(core::table2Header());
-    for (const auto &c : rows)
-        table.addRow(core::table2Row(c));
-    table.print(std::cout);
+    std::cout << core::ReportWriter().table2(rows);
 
     std::cout << "\nColumns: mu_g as percent; sg dimensionless; "
                  "mu_g(V) = geomean of sg/mu_g over f,b,s,r;\n"

@@ -145,7 +145,6 @@ int
 main(int argc, char **argv)
 {
     int jobs = 0;       // 0 = ALBERTA_JOBS / hardware concurrency
-    int priority = 0;   // queue priority when served by a daemon
     int deadlineMs = 0; // queue deadline when served by a daemon
     bool emitRequest = false;
     bool wantMetrics = false;
@@ -160,10 +159,6 @@ main(int argc, char **argv)
                      "worker threads for model runs (default: "
                      "ALBERTA_JOBS, else hardware concurrency)",
                      &jobs)
-        .positiveInt("--priority", "N",
-                     "queue priority 1-100 when the request is served "
-                     "by alberta_serve (default: 0)",
-                     &priority, core::RunRequest::kMaxPriority)
         .positiveInt("--deadline-ms", "N",
                      "queue deadline in ms when the request is served "
                      "by alberta_serve (default: none)",
@@ -252,7 +247,6 @@ main(int argc, char **argv)
                 request.benchmark = args[1];
             if (command == "run")
                 request.workload = args[2];
-            request.priority = priority;
             request.deadlineMs = deadlineMs;
             if (emitRequest) {
                 request.validate();

@@ -4,13 +4,26 @@
 
 namespace alberta::gcc {
 
+namespace {
+
+/** Add, subtract and multiply wrap around in two's complement, as
+ * 64-bit registers do; on std::int64_t an overflow would be undefined
+ * behaviour, and generated programs overflow routinely. */
+std::uint64_t
+bits(std::int64_t value)
+{
+    return static_cast<std::uint64_t>(value);
+}
+
+} // namespace
+
 std::int64_t
 evalOp(Op op, std::int64_t lhs, std::int64_t rhs)
 {
     switch (op) {
-      case Op::Add: return lhs + rhs;
-      case Op::Sub: return lhs - rhs;
-      case Op::Mul: return lhs * rhs;
+      case Op::Add: return static_cast<std::int64_t>(bits(lhs) + bits(rhs));
+      case Op::Sub: return static_cast<std::int64_t>(bits(lhs) - bits(rhs));
+      case Op::Mul: return static_cast<std::int64_t>(bits(lhs) * bits(rhs));
       case Op::Div:
         support::fatalIf(rhs == 0, "eval: division by zero");
         return lhs / rhs;
@@ -30,7 +43,7 @@ evalOp(Op op, std::int64_t lhs, std::int64_t rhs)
       case Op::Ne: return lhs != rhs;
       case Op::LogAnd: return (lhs != 0) && (rhs != 0);
       case Op::LogOr: return (lhs != 0) || (rhs != 0);
-      case Op::Neg: return -lhs;
+      case Op::Neg: return static_cast<std::int64_t>(0 - bits(lhs));
       case Op::Not: return lhs == 0;
     }
     support::panic("eval: unknown operator");

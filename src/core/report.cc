@@ -50,8 +50,8 @@ textTable(const std::vector<std::string> &header,
     return os.str();
 }
 
-/** The Markdown workload-behaviour document (the historical
- * renderReport body; text format reuses it verbatim). */
+/** The Markdown workload-behaviour document (text format reuses it
+ * verbatim). */
 std::string
 markdownReport(const Characterization &c)
 {
@@ -215,6 +215,26 @@ jsonTable2Row(const Characterization &c)
     }
     os << '}';
     return os.str();
+}
+
+/** The Table II display header (labels are value-independent). */
+std::vector<std::string>
+table2Header()
+{
+    std::vector<std::string> out;
+    for (const Table2Field &f : table2Fields(Characterization{}))
+        out.push_back(f.column);
+    return out;
+}
+
+/** One formatted Table II row, matching @ref table2Header. */
+std::vector<std::string>
+table2Row(const Characterization &c)
+{
+    std::vector<std::string> out;
+    for (const Table2Field &f : table2Fields(c))
+        out.push_back(f.text);
+    return out;
 }
 
 } // namespace
@@ -397,12 +417,6 @@ ReportWriter::metrics(
     return format_ == ReportFormat::Markdown
                ? pipeTable(header, cells)
                : textTable(header, cells);
-}
-
-std::string
-renderReport(const Characterization &c)
-{
-    return ReportWriter(ReportFormat::Markdown).report(c);
 }
 
 } // namespace alberta::core

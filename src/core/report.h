@@ -6,10 +6,9 @@
  * per-benchmark workload-behaviour report (whose per-workload top-down
  * and coverage series are the Figure 1/2 data), and the end-of-run
  * metrics table — in one of three formats: aligned text, Markdown, or
- * machine-readable JSON. The legacy `table2Row` / `table2Header`
- * helpers are thin wrappers over the same structured fields
- * (@ref table2Fields), so the human and machine outputs can never
- * drift apart.
+ * machine-readable JSON. Every Table II format is rendered from the
+ * same structured fields (@ref table2Fields), so the human and
+ * machine outputs can never drift apart.
  */
 #ifndef ALBERTA_CORE_REPORT_H
 #define ALBERTA_CORE_REPORT_H
@@ -35,7 +34,8 @@ enum class ReportFormat
 ReportFormat parseReportFormat(std::string_view name);
 
 /** One structured Table II cell: display column, machine key, the
- * formatted text table2Row prints, and the raw value JSON emits. */
+ * formatted text the text and Markdown tables print, and the raw
+ * value JSON emits. */
 struct Table2Field
 {
     std::string column; //!< display header, e.g. "f.mu_g"
@@ -45,8 +45,7 @@ struct Table2Field
     bool numeric = true; //!< false: JSON emits @ref text as a string
 };
 
-/** The structured Table II row @ref table2Row / @ref table2Header
- * wrap. */
+/** One characterized benchmark's structured Table II row. */
 std::vector<Table2Field> table2Fields(const Characterization &c);
 
 /**
@@ -95,12 +94,6 @@ class ReportWriter
     ReportFormat format_;
     runtime::Engine *engine_;
 };
-
-/**
- * Render a full Markdown report for one characterized benchmark —
- * equivalent to `ReportWriter(ReportFormat::Markdown).report(c)`.
- */
-std::string renderReport(const Characterization &characterization);
 
 } // namespace alberta::core
 

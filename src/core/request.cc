@@ -32,12 +32,9 @@ RunRequest::toJson() const
     os << "{\"kind\":" << jsonQuote(kind)
        << ",\"benchmark\":" << jsonQuote(benchmark)
        << ",\"workload\":" << jsonQuote(workload)
-       << ",\"refrate_repetitions\":" << refrateRepetitions
-       << ",\"include_test\":" << (includeTest ? "true" : "false");
-    // priority/deadline_ms are omitted at their defaults, so
-    // serialize -> parse -> serialize is byte-stable both ways.
-    if (priority != 0)
-        os << ",\"priority\":" << priority;
+       << ",\"refrate_repetitions\":" << refrateRepetitions;
+    // deadline_ms is omitted at its default, so serialize -> parse ->
+    // serialize is byte-stable both ways.
     if (deadlineMs != 0)
         os << ",\"deadline_ms\":" << deadlineMs;
     os << '}';
@@ -58,25 +55,6 @@ RunRequest::fromJson(const support::JsonValue &value)
         else if (key == "refrate_repetitions")
             request.refrateRepetitions =
                 static_cast<int>(member.asUint(1000));
-        else if (key == "include_test")
-            request.includeTest = member.asBool();
-        else if (key == "jobs")
-            member.asUint(1024); // older clients send this; ignored
-        else if (key == "segments")
-            support::fatalIf(member.asUint() != 1,
-                             "request: segment parallelism was removed; "
-                             "\"segments\" must be 1 (every run is "
-                             "exact)");
-        else if (key == "segment_warmup_uops" ||
-                 key == "segment_target_uops")
-            member.asUint(); // older clients send these; ignored
-        else if (key == "batched")
-            support::fatalIf(member.asBool(),
-                             "request: the batched replay path was "
-                             "removed; \"batched\" must be false");
-        else if (key == "priority")
-            request.priority = static_cast<int>(
-                member.asUint(RunRequest::kMaxPriority));
         else if (key == "deadline_ms")
             request.deadlineMs = static_cast<std::int64_t>(
                 member.asUint(RunRequest::kMaxDeadlineMs));
@@ -97,11 +75,10 @@ void
 RunRequest::validate() const
 {
     const bool known = kind == "characterize" || kind == "suite" ||
-                       kind == "report" || kind == "run" ||
-                       kind == "metrics";
+                       kind == "report" || kind == "run";
     support::fatalIf(!known, "request: unknown kind '", kind,
-                     "' (expected characterize, suite, report, run, "
-                     "or metrics)");
+                     "' (expected characterize, suite, report, or "
+                     "run)");
     support::fatalIf((kind == "characterize" || kind == "report" ||
                       kind == "run") &&
                          benchmark.empty(),
@@ -111,9 +88,6 @@ RunRequest::validate() const
                      "request: kind 'run' requires a workload");
     support::fatalIf(refrateRepetitions < 1,
                      "request: refrate_repetitions must be >= 1");
-    support::fatalIf(priority < 0 || priority > kMaxPriority,
-                     "request: priority must be in [0, ",
-                     kMaxPriority, "], got ", priority);
     support::fatalIf(deadlineMs < 0 || deadlineMs > kMaxDeadlineMs,
                      "request: deadline_ms must be in [0, ",
                      kMaxDeadlineMs, "], got ", deadlineMs);
@@ -176,12 +150,6 @@ execute(const RunRequest &request, runtime::Engine &engine,
     RunResult result;
     result.kind = request.kind;
     const ReportWriter writer(ReportFormat::Json, &engine);
-
-    if (request.kind == "metrics") {
-        result.payload =
-            chompPayload(writer.metrics(engine.metricsSnapshot()));
-        return result;
-    }
     std::vector<Characterization> characterized;
     if (request.kind == "suite") {
         characterized = characterizeTable2(request, engine);

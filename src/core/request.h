@@ -42,14 +42,14 @@ struct Characterization;
 
 /**
  * A fully serializable run specification: what to run (kind,
- * benchmark, workload) plus the model configuration (repetitions,
- * included workloads). This is the payload the daemon accepts
- * over its socket and the options block every in-process entry point
- * takes; see @ref execute for the kinds.
+ * benchmark, workload), how many refrate timings to take, and an
+ * optional queue deadline for the daemon. This is the payload the
+ * daemon accepts over its socket and the options block every
+ * in-process entry point takes; see @ref execute for the kinds.
  */
 struct RunRequest
 {
-    /** "characterize" | "suite" | "report" | "run" | "metrics". */
+    /** "characterize" | "suite" | "report" | "run". */
     std::string kind = "characterize";
     /** Benchmark id (required for characterize/report/run). */
     std::string benchmark;
@@ -58,28 +58,15 @@ struct RunRequest
     /** Timed refrate repetitions (the paper's three); applies to
      * characterize, suite, report and a run of refrate. */
     int refrateRepetitions = 3;
-    /** Count "test" among the characterized workloads (a run of
-     * "test" names it, so runs it regardless). */
-    bool includeTest = true;
-    /**
-     * Scheduling priority for the daemon's dispatcher pool:
-     * [0, kMaxPriority], higher is served earlier across clients
-     * (per-client order is never reordered). 0 — the default — is
-     * omitted from toJson(), so a request without a priority
-     * round-trips byte-identically.
-     */
-    int priority = 0;
     /**
      * Optional queue deadline, milliseconds from admission. A request
      * still queued when its deadline passes is answered with a
      * structured `deadline_exceeded` error instead of executing.
-     * 0 — the default — means no deadline and, like priority, is
-     * omitted from the JSON form.
+     * 0 — the default — means no deadline and is omitted from the
+     * JSON form.
      */
     std::int64_t deadlineMs = 0;
 
-    /** Upper bound for @ref priority (inclusive). */
-    static constexpr int kMaxPriority = 100;
     /** Upper bound for @ref deadlineMs: 10 days, far beyond any
      * sane queue wait but well inside JSON's exact-integer range. */
     static constexpr std::int64_t kMaxDeadlineMs = 864'000'000;
@@ -87,18 +74,9 @@ struct RunRequest
     /** This request as one JSON object (round-trips via fromJson). */
     std::string toJson() const;
 
-    /**
-     * Parse from a JSON object; unknown keys and ill-typed values
-     * are fatal, absent keys keep their defaults. The keys of the
-     * removed segment and batched execution modes (`segments`,
-     * `segment_warmup_uops`, `segment_target_uops`, `batched`) are
-     * still accepted at their exact-path values (`segments` 1,
-     * `batched` false, any warm-up/target count) and ignored, so
-     * lines from older clients keep parsing; any other value is
-     * fatal with a message naming the removed feature. `jobs`
-     * (the pool size is the Engine's) is likewise accepted in
-     * [0, 1024] and ignored.
-     */
+    /** Parse from a JSON object: `kind`, `benchmark`, `workload`,
+     * `refrate_repetitions` and `deadline_ms`. Any other key and
+     * ill-typed values are fatal; absent keys keep their defaults. */
     static RunRequest fromJson(const support::JsonValue &value);
 
     /** @ref fromJson over parsed @p text. */
@@ -112,10 +90,10 @@ struct RunRequest
 /**
  * The rendered deliverable for one executed RunRequest. `payload` is
  * the JSON document the request's kind produces — a Table II row
- * array, a full report object, a single-workload measurement, or the
- * metrics table — without a trailing newline. Deterministic model
- * outputs only, except refrate timings which are part of Table II by
- * construction (and replay bit-identically from a shared cache).
+ * array, a full report object or a single-workload measurement —
+ * without a trailing newline. Deterministic model outputs only,
+ * except refrate timings which are part of Table II by construction
+ * (and replay bit-identically from a shared cache).
  */
 struct RunResult
 {
@@ -155,7 +133,6 @@ struct RunResult
  *     scheduler; the payload holds deterministic outputs only
  *     (top-down fractions, uops, checksum). A refrate run replays or
  *     times refrateRepetitions repetitions as characterize does.
- *   - "metrics": the engine's metrics snapshot
  *
  * When @p rows is non-null the characterized rows are copied out for
  * programmatic consumers (the CLI's text/Markdown formats).

@@ -20,7 +20,6 @@
 #include "benchmarks/x264/benchmark.h"
 #include "benchmarks/xalancbmk/benchmark.h"
 #include "benchmarks/xz/benchmark.h"
-#include "core/report.h"
 #include "runtime/scheduler.h"
 #include "support/check.h"
 
@@ -115,11 +114,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
             slot.workloads.push_back(
                 runtime::findWorkload(bm, request.workload));
         } else {
-            for (auto &workload : bm.workloads()) {
-                if (!request.includeTest && workload.name == "test")
-                    continue;
-                slot.workloads.push_back(std::move(workload));
-            }
+            slot.workloads = bm.workloads();
         }
         support::fatalIf(slot.workloads.empty(), "suite: ", bm.name(),
                          " has no workloads");
@@ -159,9 +154,8 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
                 continue;
             }
             runtime::CachedRun cached;
-            if (cache.lookup(bm, slot.workloads[i], &cached) &&
-                static_cast<int>(cached.timedSeconds.size()) >=
-                    repetitions) {
+            if (cache.lookup(bm, slot.workloads[i], &cached,
+                             static_cast<std::size_t>(repetitions))) {
                 obs::Span replay(tracer, "refrate_replay",
                                  "cache_probe", root.id());
                 replay.note("benchmark", bm.name());
@@ -284,27 +278,6 @@ characterizeTable2(const RunRequest &request, runtime::Engine &engine)
     for (const auto &name : table2Names())
         benchmarks.push_back(makeBenchmark(name));
     return characterizeSuite(benchmarks, request, engine);
-}
-
-std::vector<std::string>
-table2Header()
-{
-    // Thin wrapper: the columns come from the same structured fields
-    // that drive the JSON emission (core::table2Fields), computed on
-    // a default Characterization since labels are value-independent.
-    std::vector<std::string> out;
-    for (const Table2Field &f : table2Fields(Characterization{}))
-        out.push_back(f.column);
-    return out;
-}
-
-std::vector<std::string>
-table2Row(const Characterization &c)
-{
-    std::vector<std::string> out;
-    for (const Table2Field &f : table2Fields(c))
-        out.push_back(f.text);
-    return out;
 }
 
 } // namespace alberta::core

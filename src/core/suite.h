@@ -68,16 +68,16 @@ Characterization characterize(const runtime::Benchmark &benchmark,
  *
  * The run is configured by a @ref RunRequest — the same serializable
  * spec the CLI and the `alberta_serve` daemon construct — of which
- * the model-configuration fields matter here (repetitions,
- * includeTest); the benchmarks are passed directly. A request of kind
- * "run" keeps only its named workload (even "test" when includeTest
- * is false), so one workload goes through the same tasks and refrate
- * timing rule as a whole suite; a missing name is fatal. @p engine
- * supplies the worker pool, result cache (with optional disk
- * backing), and observability layer. Each executed model run — a
- * cache miss or a timed refrate repetition — bumps `model.runs` and
- * `model.uops_executed`; a replay from either cache tier bumps
- * neither.
+ * only refrateRepetitions and, for kind "run", the workload name
+ * matter here; the benchmarks are passed directly. A request of kind
+ * "run" keeps only its named workload, so one workload goes through
+ * the same tasks and refrate timing rule as a whole suite; a missing
+ * name is fatal. @p engine supplies the worker pool, result cache
+ * (with optional disk backing), and observability layer. Each
+ * executed model run — a cache miss or a timed refrate repetition —
+ * bumps `model.runs` and `model.uops_executed`; a replay from either
+ * cache tier bumps neither, and a cached refrate entry with fewer
+ * timed repetitions than requested is a miss that is timed again.
  *
  * Every (benchmark, workload) model run — each timed refrate
  * repetition included, as its own task — is flattened into one task
@@ -99,12 +99,6 @@ std::vector<Characterization> characterizeSuite(
  * order. */
 std::vector<Characterization>
 characterizeTable2(const RunRequest &request, runtime::Engine &engine);
-
-/** One formatted Table II row (strings ready for printing). */
-std::vector<std::string> table2Row(const Characterization &c);
-
-/** The Table II header, matching @ref table2Row. */
-std::vector<std::string> table2Header();
 
 } // namespace alberta::core
 

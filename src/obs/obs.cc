@@ -1,7 +1,6 @@
 #include "obs/obs.h"
 
 #include <algorithm>
-#include <bit>
 #include <fstream>
 #include <ostream>
 
@@ -12,19 +11,6 @@ namespace alberta::obs {
 
 // --------------------------------------------------------------------
 // Metrics
-
-void
-Gauge::set(double value)
-{
-    bits_.store(std::bit_cast<std::uint64_t>(value),
-                std::memory_order_relaxed);
-}
-
-double
-Gauge::value() const
-{
-    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-}
 
 void
 Histogram::record(double value)
@@ -86,16 +72,6 @@ Registry::counter(const std::string &name)
     return *slot;
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 Histogram &
 Registry::histogram(const std::string &name)
 {
@@ -117,13 +93,6 @@ Registry::snapshot() const
         s.kind = "counter";
         s.count = counter->value();
         s.value = static_cast<double>(s.count);
-        out.push_back(std::move(s));
-    }
-    for (const auto &[name, gauge] : gauges_) {
-        MetricSample s;
-        s.name = name;
-        s.kind = "gauge";
-        s.value = gauge->value();
         out.push_back(std::move(s));
     }
     for (const auto &[name, histogram] : histograms_) {

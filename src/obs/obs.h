@@ -5,9 +5,9 @@
  *
  * The layer has three parts:
  *
- *   - a Registry of named Counters, Gauges, and Histograms that the
- *     engine components (executor, result cache, characterization
- *     driver) bump as they work;
+ *   - a Registry of named Counters and Histograms that the engine
+ *     components (executor, result cache, characterization driver)
+ *     bump as they work;
  *   - span-style tracing: one Span per model run, refrate repetition,
  *     cache-probe batch, and summarization stage, with parent/child
  *     nesting and steady-clock durations; and
@@ -56,17 +56,6 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-write-wins instantaneous value. */
-class Gauge
-{
-  public:
-    void set(double value);
-    double value() const;
-
-  private:
-    std::atomic<std::uint64_t> bits_{0}; //!< bit-cast double
-};
-
 /** Running count/sum/min/max over recorded samples. */
 class Histogram
 {
@@ -91,7 +80,9 @@ class Histogram
 struct MetricSample
 {
     std::string name;
-    std::string kind; //!< "counter" | "gauge" | "histogram"
+    /** "counter" | "histogram", or "gauge" for the values
+     * Engine::metricsSnapshot reads at snapshot time. */
+    std::string kind;
     double value = 0.0; //!< counter/gauge value; histogram mean
     std::uint64_t count = 0; //!< histogram sample count
     double sum = 0.0;  //!< histogram only
@@ -102,14 +93,12 @@ struct MetricSample
 /**
  * Named metrics, created on first use and stable for the registry's
  * lifetime (references returned here never dangle or move). Creation
- * takes a lock; bumping an already-obtained metric is lock-free for
- * counters and gauges.
+ * takes a lock; bumping an already-obtained counter is lock-free.
  */
 class Registry
 {
   public:
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     /** All metrics, sorted by name. */
@@ -118,7 +107,6 @@ class Registry
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

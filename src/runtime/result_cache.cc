@@ -112,7 +112,7 @@ ResultCache::key(const Benchmark &benchmark,
 
 bool
 ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
-                    CachedRun *out) const
+                    CachedRun *out, std::size_t minTimedRuns) const
 {
     const std::uint64_t k = key(benchmark, workload);
     {
@@ -120,7 +120,8 @@ ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
         const auto it = entries_.find(k);
         if (it != entries_.end() &&
             it->second.benchmark == benchmark.name() &&
-            it->second.workload == workload.name) {
+            it->second.workload == workload.name &&
+            it->second.run.timedSeconds.size() >= minTimedRuns) {
             if (out)
                 *out = it->second.run;
             hits_.add(1);
@@ -137,7 +138,8 @@ ResultCache::lookup(const Benchmark &benchmark, const Workload &workload,
     const entry::Read read =
         entry::read(disk_->dir, k, loaded.benchmark,
                     loaded.workload, &loaded.run);
-    if (read != entry::Read::Hit) {
+    if (read != entry::Read::Hit ||
+        loaded.run.timedSeconds.size() < minTimedRuns) {
         disk_->misses.add(1);
         if (read == entry::Read::Corrupt)
             disk_->corrupt.add(1);

@@ -77,9 +77,11 @@ class ResultCache
     static std::uint64_t fingerprint(const Benchmark &benchmark,
                                      const Workload &workload);
 
-    /** Look up a prior run; counts a hit or miss. */
+    /** Look up a prior run; counts a hit or miss. An entry holding
+     * fewer than @p minTimedRuns timed repetitions cannot answer the
+     * probe, and counts as a miss in each tier that holds it. */
     bool lookup(const Benchmark &benchmark, const Workload &workload,
-                CachedRun *out) const;
+                CachedRun *out, std::size_t minTimedRuns = 0) const;
 
     /** Insert (or overwrite) the entry for this run. A disk write is
      * best effort: a failure is counted, never raised. */

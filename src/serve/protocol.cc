@@ -25,8 +25,6 @@ parseRequestLine(std::string_view line)
         out.op = std::string(line.substr(1));
         support::fatalIf(!knownOp(out.op) || out.op == "run",
                          "protocol: unknown command '", line, "'");
-        if (out.op == "metrics")
-            out.run.kind = "metrics";
         return out;
     }
     const support::JsonValue value = support::parseJson(line);
@@ -47,8 +45,6 @@ parseRequestLine(std::string_view line)
                      "' (expected run, metrics, ping, or shutdown)");
     support::fatalIf(out.op == "run" && !sawRun,
                      "protocol: op 'run' requires a \"run\" member");
-    if (out.op == "metrics")
-        out.run.kind = "metrics";
     return out;
 }
 

@@ -45,25 +45,6 @@ RequestQueue::push(QueueJob job)
     return true;
 }
 
-std::size_t
-RequestQueue::selectLocked() const
-{
-    // Highest head-job priority wins; ties go to the lane that has
-    // waited longest in the ring (lowest rotation index). Lanes in
-    // rotation_ are non-empty and unpinned by construction.
-    std::size_t best = rotation_.size();
-    int bestPriority = -1;
-    for (std::size_t i = 0; i < rotation_.size(); ++i) {
-        const Lane &lane = lanes_.at(rotation_[i]);
-        const int priority = lane.jobs.front().priority;
-        if (priority > bestPriority) {
-            bestPriority = priority;
-            best = i;
-        }
-    }
-    return best;
-}
-
 bool
 RequestQueue::pop(QueueJob *out)
 {
@@ -73,10 +54,8 @@ RequestQueue::pop(QueueJob *out)
     });
     if (rotation_.empty())
         return false; // closed and drained
-    const std::size_t at = selectLocked();
-    const std::uint64_t client = rotation_[at];
-    rotation_.erase(rotation_.begin() +
-                    static_cast<std::ptrdiff_t>(at));
+    const std::uint64_t client = rotation_.front();
+    rotation_.pop_front();
     Lane &lane = lanes_[client];
     *out = std::move(lane.jobs.front());
     lane.jobs.pop_front();

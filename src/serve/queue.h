@@ -21,17 +21,11 @@
  *    dispatchers run concurrently. Distinct clients execute in
  *    parallel.
  *
- *  - **Priority within fairness rotation**: eligible lanes are held
- *    in a round-robin rotation ring. pop() serves the eligible lane
- *    whose *head* job has the highest priority; ties go to whichever
- *    lane has waited longest in the ring, and a served lane rejoins
- *    at the back. Equal-priority traffic is therefore strictly
- *    round-robin (one chatty client cannot starve another), while a
- *    higher-priority request from any client jumps the rotation —
- *    but never its own client's earlier requests, so per-client FIFO
- *    is preserved even for mixed-priority pipelines. Sustained
- *    high-priority traffic *can* starve priority-0 lanes; deadlines
- *    below are the pressure valve.
+ *  - **Fairness rotation**: eligible lanes are held in a
+ *    round-robin rotation ring. pop() serves the lane at the front
+ *    (the one that has waited longest), and a served lane rejoins at
+ *    the back once finished, so one chatty client cannot starve
+ *    another.
  *
  *  - **Deadlines**: jobs are stamped with the admission time. When
  *    pop() hands out a job whose queue wait already exceeds its
@@ -69,7 +63,6 @@ struct QueueJob
     std::uint64_t wireId = 0; //!< client-chosen request id, echoed
     core::RunRequest request;
     std::shared_ptr<Connection> connection;
-    int priority = 0;              //!< RunRequest::priority
     std::uint64_t deadlineMs = 0;  //!< RunRequest::deadlineMs (0=none)
     std::uint64_t admitMs = 0;     //!< stamped by push()
     std::uint64_t waitedMs = 0;    //!< stamped by pop()
@@ -78,8 +71,8 @@ struct QueueJob
 };
 
 /** Bounded multi-producer *multi-consumer* queue with per-client
- * FIFO lanes, lane pinning, priority-within-rotation selection, and
- * queue deadlines (see file comment). */
+ * FIFO lanes, lane pinning, round-robin rotation, and queue
+ * deadlines (see file comment). */
 class RequestQueue
 {
   public:
@@ -137,10 +130,6 @@ class RequestQueue
         std::deque<QueueJob> jobs;
         bool pinned = false; //!< a dispatcher is serving this client
     };
-
-    /** Rotation index of the lane pop() would serve, or npos when no
-     * lane is eligible. Caller holds mu_. */
-    std::size_t selectLocked() const;
 
     const std::size_t capacity_;
     const ClockFn clock_;

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/report.h"
 #include "serve/protocol.h"
 #include "support/check.h"
 
@@ -218,7 +219,8 @@ Server::serve()
     engine_.flushTrace();
     if (options_.verbose)
         std::cerr << "alberta_serve: drained, served "
-                  << served_.load() << " run request(s), exiting\n";
+                  << engine_.metrics().counter("serve.responses").value()
+                  << " run request(s), exiting\n";
 }
 
 void
@@ -262,7 +264,6 @@ Server::dispatchLoop()
                                    e.what());
             }
         }
-        served_.fetch_add(1);
         engine_.metrics().counter("serve.responses").add(1);
         if (job.connection)
             job.connection->sendLine(line);
@@ -349,16 +350,13 @@ Server::handleLine(const std::shared_ptr<Connection> &connection,
     if (request.op == "metrics") {
         // Control plane: answered by the reader thread, out of band,
         // so a probe is never queued behind a suite run.
-        std::string response;
-        try {
-            const core::RunResult result =
-                core::execute(request.run, engine_);
-            response = renderResponse(request.id, result);
-        } catch (const support::FatalError &e) {
-            response =
-                renderError(request.id, "metrics", e.what());
-        }
-        connection->sendLine(response);
+        core::RunResult result;
+        result.kind = "metrics";
+        result.payload =
+            core::ReportWriter(core::ReportFormat::Json, &engine_)
+                .metrics(engine_.metricsSnapshot());
+        result.payload.pop_back(); // the rendered table's newline
+        connection->sendLine(renderResponse(request.id, result));
         return;
     }
     if (request.op == "shutdown") {
@@ -376,7 +374,6 @@ Server::handleLine(const std::shared_ptr<Connection> &connection,
     job.wireId = request.id;
     job.request = request.run;
     job.connection = connection;
-    job.priority = request.run.priority;
     job.deadlineMs =
         static_cast<std::uint64_t>(request.run.deadlineMs);
     if (!queue_.push(std::move(job))) {

@@ -23,11 +23,11 @@
  *    job per client in flight, so a client's responses come back in
  *    exactly the order it sent its requests — structurally, no
  *    matter how many dispatchers run — while *distinct* clients
- *    execute concurrently through the warm shared cache. Requests
- *    carry an optional priority (biases which client's lane a free
- *    dispatcher serves next) and an optional queue deadline — a job
- *    whose wait exceeds it is answered with a structured
- *    `deadline_exceeded` error instead of occupying a dispatcher;
+ *    execute concurrently through the warm shared cache, served
+ *    round-robin across clients. Requests carry an optional queue
+ *    deadline — a job whose wait exceeds it is answered with a
+ *    structured `deadline_exceeded` error instead of occupying a
+ *    dispatcher;
  *  - metrics responses are answered from obs::Registry out of band —
  *    a monitoring probe is never stuck behind a queued suite run.
  *
@@ -120,9 +120,6 @@ class Server
         return options_.socketPath;
     }
 
-    /** Run requests executed and answered (success or error). */
-    std::uint64_t requestsServed() const { return served_.load(); }
-
     /** Run requests refused by admission control. */
     std::uint64_t requestsRejected() const
     {
@@ -144,7 +141,6 @@ class Server
      * serve() owns its lifecycle. */
     std::atomic<int> listenFd_{-1};
     std::atomic<bool> shuttingDown_{false};
-    std::atomic<std::uint64_t> served_{0};
     std::uint64_t nextClient_ = 1;
     std::vector<std::shared_ptr<Connection>> connections_;
     std::vector<std::thread> readers_;

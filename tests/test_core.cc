@@ -1,8 +1,11 @@
 /** @file Tests for the core suite library (Table II pipeline). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <sstream>
 
+#include "core/report.h"
 #include "core/suite.h"
 #include "support/check.h"
 
@@ -96,7 +99,24 @@ TEST(Characterize, RowFormattingMatchesHeader)
     request.refrateRepetitions = 1;
     runtime::Engine engine(1);
     const Characterization c = characterize(*bm, request, engine);
-    EXPECT_EQ(table2Row(c).size(), table2Header().size());
+    const std::vector<Table2Field> fields = table2Fields(c);
+    // The Markdown table's header and row carry one cell per field.
+    std::istringstream lines(
+        ReportWriter(ReportFormat::Markdown).table2({c}));
+    std::string header, rule, row;
+    std::getline(lines, header);
+    std::getline(lines, rule);
+    std::getline(lines, row);
+    const auto bars = static_cast<std::ptrdiff_t>(fields.size() + 1);
+    EXPECT_EQ(std::count(header.begin(), header.end(), '|'), bars);
+    EXPECT_EQ(std::count(row.begin(), row.end(), '|'), bars);
+    for (const Table2Field &f : fields) {
+        EXPECT_NE(header.find("| " + f.column + " |"),
+                  std::string::npos)
+            << f.column;
+        EXPECT_NE(row.find("| " + f.text + " |"), std::string::npos)
+            << f.key;
+    }
 }
 
 /** A benchmark whose output changes on every run, as a model with

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "runtime/engine.h"
 #include "runtime/executor.h"
 
 namespace {
@@ -63,13 +64,6 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     c.add(41);
     EXPECT_EQ(c.value(), 42u);
 
-    obs::Gauge g;
-    EXPECT_EQ(g.value(), 0.0);
-    g.set(2.5);
-    EXPECT_EQ(g.value(), 2.5);
-    g.set(-1.0);
-    EXPECT_EQ(g.value(), -1.0);
-
     obs::Histogram h;
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.mean(), 0.0);
@@ -81,6 +75,20 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     EXPECT_EQ(h.min(), 2.0);
     EXPECT_EQ(h.max(), 6.0);
     EXPECT_EQ(h.mean(), 4.0);
+
+    // Gauges are not stored: the engine reads them when it snapshots.
+    runtime::Engine engine(3);
+    std::size_t gauges = 0;
+    for (const obs::MetricSample &s : engine.metricsSnapshot()) {
+        if (s.kind != "gauge")
+            continue;
+        ++gauges;
+        if (s.name == "executor.jobs")
+            EXPECT_EQ(s.value, 3.0);
+        else
+            EXPECT_EQ(s.name, "cache.entries");
+    }
+    EXPECT_EQ(gauges, 2u);
 }
 
 TEST(Metrics, RegistryReturnsStableReferencesAndSortedSnapshot)
@@ -91,14 +99,14 @@ TEST(Metrics, RegistryReturnsStableReferencesAndSortedSnapshot)
     EXPECT_EQ(&c1, &c2); // same name -> same metric
     c1.add(7);
 
-    registry.gauge("alpha.gauge").set(1.5);
+    registry.counter("alpha.count").add(2);
     registry.histogram("mid.hist").record(3.0);
 
     const auto snapshot = registry.snapshot();
     ASSERT_EQ(snapshot.size(), 3u);
-    EXPECT_EQ(snapshot[0].name, "alpha.gauge");
-    EXPECT_EQ(snapshot[0].kind, "gauge");
-    EXPECT_EQ(snapshot[0].value, 1.5);
+    EXPECT_EQ(snapshot[0].name, "alpha.count");
+    EXPECT_EQ(snapshot[0].kind, "counter");
+    EXPECT_EQ(snapshot[0].value, 2.0);
     EXPECT_EQ(snapshot[1].name, "mid.hist");
     EXPECT_EQ(snapshot[1].kind, "histogram");
     EXPECT_EQ(snapshot[1].count, 1u);

@@ -128,6 +128,31 @@ TEST(PersistentCache, RoundTripsARunBitExactly)
     expectSameRun(run, loaded);
 }
 
+/** A probe that needs more timed repetitions than an entry holds
+ * cannot be answered by it: that is a counted miss in whichever tier
+ * holds the entry, and the entry still answers a smaller request. */
+TEST(PersistentCache, EntryWithTooFewTimedRunsIsAMissInBothTiers)
+{
+    const auto bm = core::makeBenchmark("505.mcf_r");
+    const runtime::Workload w = bm->workloads().front();
+    const std::string dir = freshDir("timed");
+    obs::Registry writerMetrics, metrics;
+    runtime::ResultCache(writerMetrics, dir).insert(*bm, w, coldRun(*bm, w));
+
+    runtime::ResultCache cache(metrics, dir);
+    runtime::CachedRun out;
+    EXPECT_FALSE(cache.lookup(*bm, w, &out, 4)); // disk holds 3
+    EXPECT_EQ(count(metrics, "cache.disk_misses"), 1u);
+    EXPECT_TRUE(cache.lookup(*bm, w, &out, 3)); // promoted to memory
+    EXPECT_EQ(count(metrics, "cache.disk_hits"), 1u);
+    EXPECT_FALSE(cache.lookup(*bm, w, &out, 4)); // memory holds 3 too
+    EXPECT_EQ(count(metrics, "cache.disk_misses"), 2u);
+    EXPECT_TRUE(cache.lookup(*bm, w, &out)); // a memory hit
+    EXPECT_EQ(count(metrics, "cache.disk_hits"), 1u);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
 TEST(PersistentCache, AbsentEntryIsAPlainMiss)
 {
     const auto bm = core::makeBenchmark("505.mcf_r");

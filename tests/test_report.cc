@@ -9,6 +9,13 @@ namespace {
 using namespace alberta;
 using namespace alberta::core;
 
+/** The Markdown workload-behaviour report for @p c. */
+std::string
+renderReport(const Characterization &c)
+{
+    return ReportWriter(ReportFormat::Markdown).report(c);
+}
+
 Characterization
 characterizeMcf()
 {

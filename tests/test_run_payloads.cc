@@ -92,13 +92,4 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(RunPayloads, NamedTestWorkloadRunsWithoutIncludeTest)
-{
-    core::RunRequest request = runRequest("505.mcf_r", "test");
-    request.includeTest = false;
-    runtime::Engine engine(1);
-    EXPECT_EQ(core::execute(request, engine).payload,
-              referencePayloads().at({"505.mcf_r", "test"}));
-}
-
 } // namespace

@@ -249,6 +249,26 @@ TEST(SuiteScheduler, WarmRerunReplaysInsteadOfRescheduling)
     EXPECT_EQ(engine.metrics().counter("executor.tasks").value(),
               coldBatches[0] + batches[1]);
     EXPECT_EQ(engine.cache().misses(), cold[0].workloadNames.size());
+
+    // Asking for more timed repetitions than the entry holds is a
+    // counted miss, not a hit: refrate is timed again, the untimed
+    // workloads replay.
+    const std::uint64_t hits = engine.cache().hits();
+    const std::uint64_t misses = engine.cache().misses();
+    const std::uint64_t runs =
+        engine.metrics().counter("model.runs").value();
+    request.refrateRepetitions = 3;
+    const auto more =
+        core::characterizeSuite(benchmarks, request, engine);
+    expectSameModelOutputs(cold[0], more[0]);
+    EXPECT_EQ(more[0].refrateRuns.size(), 3u);
+    EXPECT_EQ(engine.cache().hits() - hits,
+              cold[0].workloadNames.size() - 1);
+    EXPECT_EQ(engine.cache().misses() - misses, 1u);
+    EXPECT_EQ(engine.metrics().counter("model.runs").value() - runs, 3u);
+    const auto rerun = suiteBatchTasks(spans->spans());
+    ASSERT_EQ(rerun.size(), 3u);
+    EXPECT_EQ(rerun[2], (cold[0].workloadNames.size() - 1) + 3);
 }
 
 /** A one-benchmark characterize is the suite path over one

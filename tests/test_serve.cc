@@ -160,6 +160,14 @@ serverOptions(const std::string &socket,
     return options;
 }
 
+/** Run requests the daemon answered (success or error), from its
+ * metrics registry. */
+std::uint64_t
+responses(serve::Server &server)
+{
+    return server.engine().metrics().counter("serve.responses").value();
+}
+
 std::string
 runLine(std::uint64_t id, const std::string &benchmark,
         const std::string &workload)
@@ -180,7 +188,6 @@ TEST(Protocol, RequestLineRoundTrip)
     request.kind = "characterize";
     request.benchmark = "505.mcf_r";
     request.refrateRepetitions = 2;
-    request.includeTest = false;
     const std::string line = "{\"op\":\"run\",\"id\":41,\"run\":" +
                              request.toJson() + "}";
     const serve::WireRequest wire = serve::parseRequestLine(line);
@@ -189,44 +196,15 @@ TEST(Protocol, RequestLineRoundTrip)
     EXPECT_EQ(wire.run.kind, "characterize");
     EXPECT_EQ(wire.run.benchmark, "505.mcf_r");
     EXPECT_EQ(wire.run.refrateRepetitions, 2);
-    EXPECT_FALSE(wire.run.includeTest);
     // RunRequest round-trips through its own JSON.
     EXPECT_EQ(core::RunRequest::fromJsonText(request.toJson())
                   .toJson(),
               request.toJson());
 }
 
-/** Older clients serialize the removed segment/batched/jobs fields
- * on every line; such a line (here a default suite request) still
- * parses, to the same request as today's. `jobs` is ignored at any
- * in-range value: the pool size is the engine's. */
-TEST(Protocol, OlderClientDefaultLineParsesToDefaultRequest)
-{
-    const std::string older =
-        "{\"kind\":\"suite\",\"benchmark\":\"\","
-        "\"workload\":\"\",\"refrate_repetitions\":3,"
-        "\"include_test\":true,\"jobs\":1,\"segments\":1,"
-        "\"segment_warmup_uops\":1000000,"
-        "\"segment_target_uops\":16000000,\"batched\":false}";
-    core::RunRequest expected;
-    expected.kind = "suite";
-    for (const std::string &line :
-         {older, std::string("{\"kind\":\"suite\",\"jobs\":8}")}) {
-        const core::RunRequest parsed =
-            core::RunRequest::fromJsonText(line);
-        EXPECT_EQ(parsed.toJson(), expected.toJson()) << line;
-        // The removed keys are no longer emitted.
-        EXPECT_EQ(parsed.toJson().find("segment"), std::string::npos);
-        EXPECT_EQ(parsed.toJson().find("batched"), std::string::npos);
-        EXPECT_EQ(parsed.toJson().find("jobs"), std::string::npos);
-    }
-}
-
 TEST(Protocol, SlashShorthandAndControlOps)
 {
     EXPECT_EQ(serve::parseRequestLine("/metrics").op, "metrics");
-    EXPECT_EQ(serve::parseRequestLine("/metrics").run.kind,
-              "metrics");
     EXPECT_EQ(serve::parseRequestLine("/ping").op, "ping");
     EXPECT_EQ(serve::parseRequestLine("/shutdown").op, "shutdown");
     EXPECT_EQ(
@@ -286,48 +264,41 @@ TEST(Protocol, ErrorResponsesCarryTheStructuredCode)
     EXPECT_EQ(wire.result.error, "deadline exceeded");
 }
 
-TEST(Protocol, PriorityAndDeadlineRoundTripByteStably)
+TEST(Protocol, DeadlineRoundTripsByteStably)
 {
     core::RunRequest request;
     request.kind = "characterize";
     request.benchmark = "505.mcf_r";
-    request.priority = 7;
     request.deadlineMs = 1500;
     const std::string json = request.toJson();
-    EXPECT_NE(json.find("\"priority\":7"), std::string::npos);
     EXPECT_NE(json.find("\"deadline_ms\":1500"), std::string::npos);
     // serialize → parse → serialize is byte-stable.
     const core::RunRequest back = core::RunRequest::fromJsonText(json);
-    EXPECT_EQ(back.priority, 7);
     EXPECT_EQ(back.deadlineMs, 1500);
     EXPECT_EQ(back.toJson(), json);
 }
 
-TEST(Protocol, DefaultPriorityAndDeadlineKeepPr7WireFormat)
+TEST(Protocol, DefaultDeadlineIsOmittedFromTheWireForm)
 {
-    // Absent fields are omitted from the JSON entirely, so clients
-    // (and caches) from before the scheduling fields see identical
-    // bytes.
+    // The wire form carries exactly the fields a caller sets; the
+    // absent deadline is not serialized at all.
     core::RunRequest request;
     request.kind = "suite";
     const std::string json = request.toJson();
-    EXPECT_EQ(json.find("priority"), std::string::npos);
-    EXPECT_EQ(json.find("deadline_ms"), std::string::npos);
+    EXPECT_EQ(json,
+              "{\"kind\":\"suite\",\"benchmark\":\"\",\"workload\":\"\","
+              "\"refrate_repetitions\":3}");
     const core::RunRequest back = core::RunRequest::fromJsonText(json);
-    EXPECT_EQ(back.priority, 0);
     EXPECT_EQ(back.deadlineMs, 0);
     EXPECT_EQ(back.toJson(), json);
 }
 
+/** `deadline_ms` is range-checked; `priority` is not a request
+ * field, so it is an unknown key at any value. */
 TEST(Protocol, OutOfRangePriorityAndDeadlineAreFatal)
 {
     core::RunRequest request;
     request.kind = "suite";
-    request.priority = -1;
-    EXPECT_THROW(request.validate(), support::FatalError);
-    request.priority = core::RunRequest::kMaxPriority + 1;
-    EXPECT_THROW(request.validate(), support::FatalError);
-    request.priority = 0;
     request.deadlineMs = -5;
     EXPECT_THROW(request.validate(), support::FatalError);
     request.deadlineMs = core::RunRequest::kMaxDeadlineMs + 1;
@@ -335,17 +306,18 @@ TEST(Protocol, OutOfRangePriorityAndDeadlineAreFatal)
     // The wire parser enforces the same bounds (and rejects
     // non-integers) before validate() ever runs.
     EXPECT_THROW(core::RunRequest::fromJsonText(
-                     "{\"kind\":\"suite\",\"priority\":101}"),
-                 support::FatalError);
-    EXPECT_THROW(core::RunRequest::fromJsonText(
-                     "{\"kind\":\"suite\",\"priority\":-1}"),
-                 support::FatalError);
-    EXPECT_THROW(core::RunRequest::fromJsonText(
                      "{\"kind\":\"suite\",\"deadline_ms\":1e18}"),
                  support::FatalError);
     EXPECT_THROW(core::RunRequest::fromJsonText(
-                     "{\"kind\":\"suite\",\"priority\":\"high\"}"),
+                     "{\"kind\":\"suite\",\"deadline_ms\":\"soon\"}"),
                  support::FatalError);
+    for (const std::string priority : {"0", "7", "101", "\"high\""}) {
+        EXPECT_THROW(core::RunRequest::fromJsonText(
+                         "{\"kind\":\"suite\",\"priority\":" +
+                         priority + "}"),
+                     support::FatalError)
+            << priority;
+    }
 }
 
 TEST(Protocol, ZeroRefrateRepetitionsIsFatal)
@@ -360,13 +332,12 @@ TEST(Protocol, ZeroRefrateRepetitionsIsFatal)
 // --- admission queue --------------------------------------------------
 
 serve::QueueJob
-job(std::uint64_t client, std::uint64_t wireId, int priority = 0,
+job(std::uint64_t client, std::uint64_t wireId,
     std::uint64_t deadlineMs = 0)
 {
     serve::QueueJob j;
     j.client = client;
     j.wireId = wireId;
-    j.priority = priority;
     j.deadlineMs = deadlineMs;
     return j;
 }
@@ -425,34 +396,13 @@ TEST(RequestQueue, LanePinningKeepsOneJobPerClientInFlight)
     queue.finish(1);
 }
 
-TEST(RequestQueue, PriorityJumpsTheRotationButNotItsOwnLane)
-{
-    serve::RequestQueue queue(16);
-    ASSERT_TRUE(queue.push(job(1, 10, 0)));
-    ASSERT_TRUE(queue.push(job(1, 11, 5))); // behind 10 in its lane
-    ASSERT_TRUE(queue.push(job(2, 20, 0)));
-    ASSERT_TRUE(queue.push(job(3, 30, 9)));
-
-    std::vector<std::uint64_t> order;
-    serve::QueueJob out;
-    while (queue.size() > 0 && queue.pop(&out)) {
-        order.push_back(out.wireId);
-        queue.finish(out.client);
-    }
-    // 30 jumps the rotation (highest head priority). 10 beats 20 on
-    // the equal-priority tie (longest waiting). 11's priority 5 then
-    // outranks 20 — but never overtook 10 in its own lane.
-    EXPECT_EQ(order,
-              (std::vector<std::uint64_t>{30, 10, 11, 20}));
-}
-
 TEST(RequestQueue, DeadlinesEvaluatedAtPopAgainstInjectedClock)
 {
     std::uint64_t now = 1000;
     serve::RequestQueue queue(16, [&now] { return now; });
-    ASSERT_TRUE(queue.push(job(1, 10, 0, 5)));  // 5 ms deadline
-    ASSERT_TRUE(queue.push(job(2, 20, 0, 50))); // 50 ms deadline
-    ASSERT_TRUE(queue.push(job(3, 30, 0, 0)));  // no deadline
+    ASSERT_TRUE(queue.push(job(1, 10, 5)));  // 5 ms deadline
+    ASSERT_TRUE(queue.push(job(2, 20, 50))); // 50 ms deadline
+    ASSERT_TRUE(queue.push(job(3, 30, 0)));  // no deadline
 
     now += 10; // both waited 10 ms
     serve::QueueJob out;
@@ -542,7 +492,7 @@ TEST(Serve, RunPayloadMatchesInProcessExecution)
     // Byte-identical: the daemon renders through the same
     // core::execute path and ships the payload verbatim.
     EXPECT_EQ(served.result.payload, direct.payload);
-    EXPECT_EQ(server->requestsServed(), 1u);
+    EXPECT_EQ(responses(*server), 1u);
 }
 
 TEST(Serve, CharacterizePayloadReplaysByteIdenticallyFromSharedCache)
@@ -650,7 +600,7 @@ TEST(Serve, FourConcurrentClientsGetSerialAnswersInFifoOrder)
         thread.join();
     for (int c = 0; c < kClients; ++c)
         EXPECT_EQ(failures[c], "") << "client " << c;
-    EXPECT_EQ(server->requestsServed(),
+    EXPECT_EQ(responses(*server),
               static_cast<std::uint64_t>(kClients * kPerClient));
 }
 
@@ -697,7 +647,7 @@ TEST(Serve, ShutdownDrainsAdmittedRequestsBeforeExit)
               static_cast<std::size_t>(kRequests));
     EXPECT_EQ(client.recvLine(), ""); // clean EOF after the drain
     thread.join();
-    EXPECT_GE(server->requestsServed(), 1u);
+    EXPECT_GE(responses(*server), 1u);
     EXPECT_FALSE(fs::exists(socket)); // socket file removed
 }
 
@@ -925,19 +875,16 @@ TEST(ServeFuzz, UnknownPriorityAndDeadlineValuesAreRejectedInBand)
     const std::vector<std::string> bad = {
         "{\"op\":\"run\",\"id\":1,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"priority\":101}}",
+        "\"deadline_ms\":-7}}",
         "{\"op\":\"run\",\"id\":2,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"priority\":-1}}",
+        "\"deadline_ms\":1e18}}",
         "{\"op\":\"run\",\"id\":3,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"priority\":\"high\"}}",
+        "\"deadline_ms\":864000001}}",
         "{\"op\":\"run\",\"id\":4,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"deadline_ms\":-7}}",
-        "{\"op\":\"run\",\"id\":5,\"run\":{\"kind\":\"run\","
-        "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"deadline_ms\":1e18}}",
+        "\"priority\":100}}",
     };
     for (const std::string &line : bad) {
         client.sendLine(line);
@@ -945,56 +892,55 @@ TEST(ServeFuzz, UnknownPriorityAndDeadlineValuesAreRejectedInBand)
             serve::parseResponseLine(client.recvLine());
         EXPECT_FALSE(wire.result.ok) << line;
     }
-    // In-range values are admitted and served normally.
+    // The largest deadline is admitted and served normally.
     client.sendLine(
-        "{\"op\":\"run\",\"id\":6,\"run\":{\"kind\":\"run\","
+        "{\"op\":\"run\",\"id\":5,\"run\":{\"kind\":\"run\","
         "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"priority\":100,\"deadline_ms\":864000000}}");
+        "\"deadline_ms\":864000000}}");
     const serve::WireResponse ok =
         serve::parseResponseLine(client.recvLine());
     EXPECT_TRUE(ok.result.ok) << ok.result.error;
 }
 
-/** Requests for the removed segment-parallel or batched execution
- * modes are answered with an error naming the removed feature, and
- * the connection keeps serving. */
+/** Keys that are not request fields — queue priority, a
+ * test-workload filter, the pool size, the segment-parallel and
+ * batched execution modes — are unknown keys at any value: each is
+ * answered with an in-band error, and the connection keeps serving. */
 TEST(ServeFuzz, RemovedExecutionModesAreRejectedInBand)
 {
     const std::string socket = freshPath("removed.sock");
     ServerFixture server(serverOptions(socket));
     Client client(socket);
 
-    const std::vector<std::pair<std::string, std::string>> bad = {
-        {"{\"op\":\"run\",\"id\":1,\"run\":{\"kind\":\"suite\","
-         "\"segments\":4}}",
-         "segment parallelism was removed"},
-        {"{\"op\":\"run\",\"id\":2,\"run\":{\"kind\":\"suite\","
-         "\"segments\":0}}",
-         "segment parallelism was removed"},
-        {"{\"op\":\"run\",\"id\":3,\"run\":{\"kind\":\"suite\","
-         "\"batched\":true}}",
-         "batched replay path was removed"},
-        // `jobs` is ignored but still range-checked: outside input.
-        {"{\"op\":\"run\",\"id\":4,\"run\":{\"kind\":\"suite\","
-         "\"jobs\":2000}}",
-         "[0, 1024]"},
+    const std::vector<std::string> removed = {
+        "\"priority\":0",           "\"priority\":7",
+        "\"include_test\":true",    "\"include_test\":false",
+        "\"jobs\":1",               "\"segments\":1",
+        "\"segment_warmup_uops\":0", "\"segment_target_uops\":0",
+        "\"batched\":false",
     };
-    for (const auto &[line, message] : bad) {
+    std::uint64_t id = 0;
+    for (const std::string &member : removed) {
+        const std::string line =
+            "{\"op\":\"run\",\"id\":" + std::to_string(++id) +
+            ",\"run\":{\"kind\":\"run\",\"benchmark\":\"505.mcf_r\","
+            "\"workload\":\"test\"," +
+            member + "}}";
         client.sendLine(line);
         const serve::WireResponse wire =
             serve::parseResponseLine(client.recvLine());
         EXPECT_FALSE(wire.result.ok) << line;
-        EXPECT_NE(wire.result.error.find(message), std::string::npos)
+        EXPECT_NE(wire.result.error.find("request: unknown key"),
+                  std::string::npos)
             << wire.result.error;
+        // The connection still works after each rejection.
+        client.sendLine("/ping");
+        EXPECT_TRUE(serve::parseResponseLine(client.recvLine())
+                        .result.ok)
+            << member;
     }
-    // The connection still works, and exact-path values are served.
-    client.sendLine("/ping");
-    EXPECT_TRUE(serve::parseResponseLine(client.recvLine())
-                    .result.ok);
-    client.sendLine(
-        "{\"op\":\"run\",\"id\":5,\"run\":{\"kind\":\"run\","
-        "\"benchmark\":\"505.mcf_r\",\"workload\":\"test\","
-        "\"segments\":1,\"batched\":false,\"jobs\":8}}");
+    EXPECT_EQ(responses(*server), 0u); // nothing reached the queue
+    client.sendLine(runLine(++id, "505.mcf_r", "test"));
     const serve::WireResponse ok =
         serve::parseResponseLine(client.recvLine());
     EXPECT_TRUE(ok.result.ok) << ok.result.error;

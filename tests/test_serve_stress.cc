@@ -4,14 +4,13 @@
  * Two layers:
  *
  *  1. A **deterministic schedule** — a seeded random op sequence
- *     (pushes from hundreds of clients with mixed priorities and
- *     deadlines, clock advances, pops, admission rejects, a closing
- *     drain) applied single-threaded to the real queue under an
+ *     (pushes from hundreds of clients with mixed deadlines, clock
+ *     advances, pops, admission rejects, a closing drain) applied single-threaded to the real queue under an
  *     injected fake clock AND to an independent straight-line
  *     reference model. Every popped (client, wireId, expired) tuple,
  *     every admission verdict, and the final counters must agree —
- *     the selection policy (priority within fairness rotation,
- *     per-client FIFO, deadline expiry at pop) is pinned exactly.
+ *     the selection policy (round-robin rotation, per-client FIFO,
+ *     deadline expiry at pop) is pinned exactly.
  *
  *  2. A **true MPMC stress** — producer threads pipelining hundreds
  *     of jobs across many clients against a dispatcher-pool's worth
@@ -52,7 +51,7 @@ class ReferenceModel
     }
 
     bool
-    push(std::uint64_t client, std::uint64_t wireId, int priority,
+    push(std::uint64_t client, std::uint64_t wireId,
          std::uint64_t deadlineMs, std::uint64_t now)
     {
         if (closed_)
@@ -63,7 +62,7 @@ class ReferenceModel
         }
         if (lanes_[client].empty())
             rotation_.push_back(client);
-        lanes_[client].push_back({wireId, priority, deadlineMs, now});
+        lanes_[client].push_back({wireId, deadlineMs, now});
         ++size_;
         return true;
     }
@@ -75,15 +74,8 @@ class ReferenceModel
     {
         if (rotation_.empty())
             return false;
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < rotation_.size(); ++i) {
-            if (lanes_[rotation_[i]].front().priority >
-                lanes_[rotation_[best]].front().priority)
-                best = i;
-        }
-        *client = rotation_[best];
-        rotation_.erase(rotation_.begin() +
-                        static_cast<std::ptrdiff_t>(best));
+        *client = rotation_.front();
+        rotation_.pop_front();
         auto &lane = lanes_[*client];
         const Job job = lane.front();
         lane.pop_front();
@@ -109,7 +101,6 @@ class ReferenceModel
     struct Job
     {
         std::uint64_t wireId;
-        int priority;
         std::uint64_t deadlineMs;
         std::uint64_t admitMs;
     };
@@ -182,11 +173,10 @@ runSchedule(std::uint64_t seed)
             serve::QueueJob j;
             j.client = 1 + rng.below(kClients);
             j.wireId = nextWireId++;
-            j.priority = static_cast<int>(rng.below(10));
             j.deadlineMs =
                 rng.chance(0.3) ? 1 + rng.below(40) : 0;
-            const bool refAccepted = model.push(
-                j.client, j.wireId, j.priority, j.deadlineMs, now);
+            const bool refAccepted =
+                model.push(j.client, j.wireId, j.deadlineMs, now);
             EXPECT_EQ(queue.push(j), refAccepted);
         } else if (draw < 90) { // pop (if anything is queued)
             popBoth();
@@ -223,7 +213,7 @@ runSchedule(std::uint64_t seed)
 TEST(ServeStress, DeterministicSchedulesMatchTheReferenceModel)
 {
     // Several seeds: the interesting interleavings (full queue,
-    // priority ties, expiring deadlines, drain with queued work)
+    // expiring deadlines, drain with queued work)
     // all occur within each schedule.
     for (const std::uint64_t seed : {1ULL, 42ULL, 0xa1be27aULL})
         runSchedule(seed);
@@ -261,7 +251,6 @@ TEST(ServeStress, MpmcPreservesPerClientFifoAndLanePinning)
                     serve::QueueJob j;
                     j.client = client;
                     j.wireId = static_cast<std::uint64_t>(i + 1);
-                    j.priority = static_cast<int>(rng.below(4));
                     j.deadlineMs = rng.chance(0.1) ? 1 : 0;
                     // Bounded queue: spin until admitted so every
                     // job is accounted for in the FIFO check.
