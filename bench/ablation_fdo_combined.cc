@@ -4,11 +4,13 @@
  * VI) — merging the profiles of several training workloads before
  * compiling the FDO artifacts. Compares, for several benchmarks:
  *   - single-workload training (the SPEC "train" input), vs
- *   - combined training over three Alberta workloads,
- * both evaluated over all remaining workloads. Expected shape: the
+ *   - combined training over "train" plus two Alberta workloads,
+ * both evaluated over all remaining workloads, as two experiments of
+ * one fdo::crossValidateAll call on one engine. Expected shape: the
  * combined profile never transfers much worse, and repairs the
  * workload-sensitive cases where single-training misleads.
  */
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -20,37 +22,24 @@ namespace {
 
 using namespace alberta;
 
-/** Baselines recur between the single and combined evaluations; the
- * cache computes each exactly once. */
-obs::Registry baselineMetrics;
-runtime::ResultCache baselineCache(baselineMetrics);
-
-/** Geometric-mean speedup of @p opt over all workloads not in
- * @p excluded. */
-double
-geomeanSpeedup(const runtime::Benchmark &benchmark,
-               const fdo::Optimization &opt,
-               const std::vector<std::string> &excluded,
-               double *worst)
+/** Append the geometric-mean and the worst speedup of @p cv over its
+ * evaluated workloads not in @p held to @p row. */
+void
+addSpeedupCells(std::vector<std::string> &row,
+                const fdo::CrossValidation &cv,
+                const std::vector<std::string> &held)
 {
-    double logSum = 0.0;
+    double logSum = 0.0, worst = 1e30;
     int count = 0;
-    *worst = 1e30;
-    for (const auto &w : benchmark.workloads()) {
-        bool skip = false;
-        for (const auto &name : excluded)
-            skip |= w.name == name;
-        if (skip)
+    for (std::size_t i = 0; i < cv.evalNames.size(); ++i) {
+        if (std::count(held.begin(), held.end(), cv.evalNames[i]))
             continue;
-        const auto base =
-            fdo::runOptimized(benchmark, w, nullptr, &baselineCache);
-        const auto tuned = fdo::runOptimized(benchmark, w, &opt);
-        const double speedup = base.cycles / tuned.cycles;
-        logSum += std::log(speedup);
-        *worst = std::min(*worst, speedup);
+        logSum += std::log(cv.evalSpeedups[i]);
+        worst = std::min(worst, cv.evalSpeedups[i]);
         ++count;
     }
-    return std::exp(logSum / count);
+    row.push_back(support::formatFixed(std::exp(logSum / count), 4));
+    row.push_back(support::formatFixed(worst, 4));
 }
 
 } // namespace
@@ -65,46 +54,31 @@ main()
                           "single worst", "combined geomean",
                           "combined worst"});
 
+    // Per benchmark: train on "train" alone, and on "train" plus the
+    // first two Alberta workloads, held out from both evaluations.
+    std::vector<std::unique_ptr<runtime::Benchmark>> benchmarks;
+    std::vector<fdo::Experiment> experiments;
     for (const char *name :
          {"557.xz_r", "523.xalancbmk_r", "505.mcf_r",
           "531.deepsjeng_r"}) {
-        const auto bm = core::makeBenchmark(name);
-        const auto workloads = bm->workloads();
-
-        // Single training on "train".
-        const auto train = runtime::findWorkload(*bm, "train");
-        const fdo::Profile single =
-            fdo::collectProfile(*bm, train);
-
-        // Combined training: "train" plus the first two Alberta
-        // workloads (held out from evaluation as well).
-        fdo::Profile combined = single;
+        benchmarks.push_back(core::makeBenchmark(name));
         std::vector<std::string> held = {"train"};
-        for (const auto &w : workloads) {
-            if (held.size() >= 3)
-                break;
-            if (w.isAlberta()) {
-                combined.merge(fdo::collectProfile(*bm, w));
+        for (const auto &w : benchmarks.back()->workloads()) {
+            if (held.size() < 3 && w.isAlberta())
                 held.push_back(w.name);
-            }
         }
+        experiments.push_back({benchmarks.back().get(), {"train"}});
+        experiments.push_back({benchmarks.back().get(), held});
+    }
 
-        const fdo::Optimization singleOpt =
-            fdo::compileOptimization(single);
-        const fdo::Optimization combinedOpt =
-            fdo::compileOptimization(combined);
-
-        double singleWorst = 0.0, combinedWorst = 0.0;
-        const double singleMean =
-            geomeanSpeedup(*bm, singleOpt, held, &singleWorst);
-        const double combinedMean =
-            geomeanSpeedup(*bm, combinedOpt, held, &combinedWorst);
-
-        table.addRow({name, support::formatFixed(singleMean, 4),
-                      support::formatFixed(singleWorst, 4),
-                      support::formatFixed(combinedMean, 4),
-                      support::formatFixed(combinedWorst, 4)});
-        std::cerr << "  [combined] " << name << " done\n";
+    runtime::Engine engine;
+    const std::vector<fdo::CrossValidation> results =
+        fdo::crossValidateAll(experiments, engine);
+    for (std::size_t r = 0; r < results.size(); r += 2) {
+        std::vector<std::string> row = {results[r].benchmark};
+        for (const std::size_t i : {r, r + 1})
+            addSpeedupCells(row, results[i], experiments[r + 1].train);
+        table.addRow(row);
     }
     table.print(std::cout);
     std::cout << "\nExpected shape: where training workloads "

@@ -9,6 +9,8 @@
  *   - the cross-validated distribution over all Alberta workloads.
  * Expected shape: self >= classic estimate >= cross-validated mean,
  * with per-benchmark spread correlating with workload sensitivity.
+ * All six experiments are one fdo::crossValidateAll call on one
+ * engine.
  */
 #include <iostream>
 
@@ -29,22 +31,25 @@ main()
                           "crossval min", "crossval max",
                           "overstatement"});
 
-    runtime::Engine engine;
+    std::vector<std::unique_ptr<runtime::Benchmark>> benchmarks;
+    std::vector<fdo::Experiment> experiments;
     for (const char *name :
          {"505.mcf_r", "557.xz_r", "531.deepsjeng_r",
           "523.xalancbmk_r", "520.omnetpp_r", "548.exchange2_r"}) {
-        const auto bm = core::makeBenchmark(name);
-        const fdo::CrossValidation cv =
-            fdo::crossValidate(*bm, "train", engine);
+        benchmarks.push_back(core::makeBenchmark(name));
+        experiments.push_back({benchmarks.back().get(), {"train"}});
+    }
+    runtime::Engine engine;
+    for (const fdo::CrossValidation &cv :
+         fdo::crossValidateAll(experiments, engine)) {
         table.addRow(
-            {name, support::formatFixed(cv.selfSpeedup, 4),
+            {cv.benchmark, support::formatFixed(cv.selfSpeedup, 4),
              support::formatFixed(cv.refSpeedup, 4),
              support::formatFixed(cv.meanCross, 4),
              support::formatFixed(cv.minCross, 4),
              support::formatFixed(cv.maxCross, 4),
              support::formatFixed(cv.selfSpeedup / cv.meanCross,
                                   4)});
-        std::cerr << "  [fdo] " << name << " done\n";
     }
     table.print(std::cout);
     std::cout << "\n'overstatement' = self speedup / cross-validated "

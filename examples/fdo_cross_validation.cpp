@@ -27,26 +27,17 @@ main(int argc, char **argv)
     std::cout << "FDO cross-validation on " << benchmark->name()
               << ", training workload '" << trainName << "'\n\n";
 
-    // Step 1: instrumented training run -> profile.
-    const auto train = runtime::findWorkload(*benchmark, trainName);
-    const fdo::Profile profile =
-        fdo::collectProfile(*benchmark, train);
-    std::cout << "profile: " << profile.sites.size()
-              << " branch sites, " << profile.methodHotness.size()
-              << " methods, " << profile.retiredOps
-              << " uops observed\n";
-
-    // Step 2: compile the profile into branch hints + code layout.
-    const fdo::Optimization opt = fdo::compileOptimization(profile);
-    std::cout << "optimization: " << opt.hintedSites
-              << " hinted branch sites, " << opt.hotMethods
-              << " hot methods laid out\n\n";
-
-    // Step 3: evaluate everywhere, sharing one run-session engine so
-    // baseline model runs are memoized across evaluations.
+    // Train, compile the profile into branch hints + code layout, and
+    // evaluate everywhere, all on one run-session engine.
     runtime::Engine engine;
     const fdo::CrossValidation cv =
         fdo::crossValidate(*benchmark, trainName, engine);
+    std::cout << "profile: " << cv.profileSites << " branch sites, "
+              << cv.profileMethods << " methods, " << cv.profileUops
+              << " uops observed\n";
+    std::cout << "optimization: " << cv.hintedSites
+              << " hinted branch sites, " << cv.hotMethods
+              << " hot methods laid out\n\n";
 
     support::Table table({"evaluation workload", "speedup"});
     table.addRow({trainName + "  (train==eval)",

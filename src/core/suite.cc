@@ -147,7 +147,7 @@ characterizeAll(std::span<const runtime::Benchmark *const> benchmarks,
                 task.costHint = hint;
                 task.run = [&slot, &bm, i, &cache](obs::Span &span) {
                     slot.results[i] = runtime::measureCached(
-                        bm, slot.workloads[i], &cache);
+                        bm, slot.workloads[i], cache);
                     span.note("uops", slot.results[i].retiredOps);
                 };
                 tasks.push_back(std::move(task));

@@ -45,33 +45,21 @@ struct Optimization
     int hotMethods = 0;
 };
 
-/** Optimizer thresholds. */
-struct OptimizerConfig
-{
-    double hintBias = 0.85;      //!< min taken/not-taken bias to hint
-    std::uint64_t minSamples = 16; //!< ignore colder sites
-    double hotCoverage = 0.05;   //!< method-hotness layout threshold
-    double hotScale = 0.55;      //!< code-footprint scale for hot code
-};
-
 /**
  * Run @p workload once with profiling enabled; returns the profile.
- * The run is counted in @p cache's `model.*` counters when one is
- * given.
+ * The run is counted in @p cache's `model.*` counters.
  */
 Profile collectProfile(const runtime::Benchmark &benchmark,
                        const runtime::Workload &workload,
-                       runtime::ResultCache *cache = nullptr);
+                       runtime::ResultCache &cache);
 
 /** Compile a profile into branch hints + code layout. */
-Optimization compileOptimization(const Profile &profile,
-                                 const OptimizerConfig &config = {});
+Optimization compileOptimization(const Profile &profile);
 
 /** One measured run (cycles are the modelled metric of merit). */
 struct FdoMeasurement
 {
     double cycles = 0.0;
-    stats::TopdownRatios topdown;
     std::uint64_t checksum = 0;
 };
 
@@ -79,46 +67,58 @@ struct FdoMeasurement
  * Run @p workload with (or without, pass nullptr) an optimization.
  *
  * Baseline runs (no optimization installed) are plain deterministic
- * model runs, so they are memoized in @p cache when one is given;
- * optimized runs depend on the installed artifacts and always execute
- * (and are counted in @p cache's `model.*` counters).
+ * model runs, so they are memoized in @p cache; optimized runs depend
+ * on the installed artifacts and always execute (and are counted in
+ * @p cache's `model.*` counters).
  */
 FdoMeasurement runOptimized(const runtime::Benchmark &benchmark,
                             const runtime::Workload &workload,
                             const Optimization *optimization,
-                            runtime::ResultCache *cache = nullptr);
+                            runtime::ResultCache &cache);
 
-/** Speedup of train-on-@p trainName applied to eval-on-@p evalName. */
-double fdoSpeedup(const runtime::Benchmark &benchmark,
-                  const runtime::Workload &train,
-                  const runtime::Workload &eval,
-                  runtime::ResultCache *cache = nullptr);
+/** One experiment: train on @ref train's profiles, merged in order. */
+struct Experiment
+{
+    const runtime::Benchmark *benchmark = nullptr;
+    std::vector<std::string> train;
+};
 
-/** Outcome of the cross-validation methodology for one benchmark. */
+/** Outcome of the cross-validation methodology for one experiment. */
 struct CrossValidation
 {
     std::string benchmark;
-    std::string trainWorkload;
-    /** Speedup when evaluating on the training workload itself. */
+    /** Speedup when evaluating on the first training workload. */
     double selfSpeedup = 1.0;
     /** Speedup on the classic single eval workload ("refrate"). */
     double refSpeedup = 1.0;
-    /** Speedups across all other workloads (leave-one-in). */
+    /** Speedups on every non-training workload, in workload order. */
     std::vector<std::string> evalNames;
     std::vector<double> evalSpeedups;
     double meanCross = 1.0; //!< geometric mean over evalSpeedups
     double minCross = 1.0;
     double maxCross = 1.0;
+    /** Sizes of the merged profile and its compiled optimization. */
+    std::size_t profileSites = 0;
+    std::size_t profileMethods = 0;
+    std::uint64_t profileUops = 0;
+    int hintedSites = 0;
+    int hotMethods = 0;
 };
 
 /**
- * The paper's prescribed experiment: train on @p trainName, report
- * both the classic train->refrate number and the distribution across
- * all available (Alberta) workloads. Per-workload evaluations are
- * independent model runs on @p engine's pool, with baseline runs
- * memoized in its cache; results are gathered in workload order and
- * are bit-identical to the serial path.
+ * The paper's prescribed experiment, for each of @p experiments: the
+ * classic train->refrate number and the distribution across all other
+ * (Alberta) workloads. Two scheduler batches on @p engine: one profile
+ * run per distinct (benchmark, training workload), then one cached
+ * baseline per distinct evaluated pair plus one optimized run per
+ * (experiment, evaluated workload). Each benchmark's workloads are
+ * generated once; results are bit-identical at any pool size.
  */
+std::vector<CrossValidation>
+crossValidateAll(const std::vector<Experiment> &experiments,
+                 runtime::Engine &engine);
+
+/** crossValidateAll for one benchmark trained on @p trainName. */
 CrossValidation crossValidate(const runtime::Benchmark &benchmark,
                               const std::string &trainName,
                               runtime::Engine &engine);

@@ -5,7 +5,7 @@
  * and the observability layer (metrics registry + tracer). The
  * registry is the session's only set of books: every count and summed
  * duration the components keep lives there. `core::characterize`,
- * `core::characterizeSuite` and `fdo::crossValidate` all take an
+ * `core::characterizeSuite` and `fdo::crossValidateAll` all take an
  * `Engine&`: there is no engine-less way to characterize.
  *
  * Construction is builder-style because the pool size and the trace

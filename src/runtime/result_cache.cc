@@ -207,16 +207,14 @@ runOnceCpuCosted(const Benchmark &benchmark, const Workload &workload)
 
 RunMeasurement
 measureCached(const Benchmark &benchmark, const Workload &workload,
-              ResultCache *cache)
+              ResultCache &cache)
 {
-    if (!cache)
-        return runOnceCpuCosted(benchmark, workload);
     CachedRun cached;
-    if (cache->lookup(benchmark, workload, &cached))
+    if (cache.lookup(benchmark, workload, &cached))
         return cached.measurement;
     cached.measurement = runOnceCpuCosted(benchmark, workload);
-    cache->countRun(cached.measurement.retiredOps);
-    cache->insert(benchmark, workload, cached);
+    cache.countRun(cached.measurement.retiredOps);
+    cache.insert(benchmark, workload, cached);
     return cached.measurement;
 }
 

@@ -125,13 +125,10 @@ class ResultCache
     std::unique_ptr<const Disk> disk_; //!< null = memory only
 };
 
-/**
- * Run @p workload through the model, memoized in @p cache when one is
- * given (pass nullptr for a plain uncached @ref runOnce).
- */
+/** Run @p workload through the model, memoized in @p cache. */
 RunMeasurement measureCached(const Benchmark &benchmark,
                              const Workload &workload,
-                             ResultCache *cache);
+                             ResultCache &cache);
 
 } // namespace alberta::runtime
 

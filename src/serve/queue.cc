@@ -63,8 +63,9 @@ RequestQueue::pop(QueueJob *out)
     --size_;
     const std::uint64_t now = clock_();
     out->waitedMs = now >= out->admitMs ? now - out->admitMs : 0;
-    out->expired =
-        out->deadlineMs > 0 && out->waitedMs > out->deadlineMs;
+    const auto deadlineMs =
+        static_cast<std::uint64_t>(out->request.deadlineMs);
+    out->expired = deadlineMs > 0 && out->waitedMs > deadlineMs;
     if (out->expired)
         ++expired_;
     if (waitSamplesMs_.size() < kMaxWaitSamples)

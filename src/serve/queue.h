@@ -63,7 +63,6 @@ struct QueueJob
     std::uint64_t wireId = 0; //!< client-chosen request id, echoed
     core::RunRequest request;
     std::shared_ptr<Connection> connection;
-    std::uint64_t deadlineMs = 0;  //!< RunRequest::deadlineMs (0=none)
     std::uint64_t admitMs = 0;     //!< stamped by push()
     std::uint64_t waitedMs = 0;    //!< stamped by pop()
     bool expired = false;          //!< stamped by pop(): answer with

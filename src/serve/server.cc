@@ -252,7 +252,7 @@ Server::dispatchLoop()
                 job.wireId, job.request.kind,
                 "deadline exceeded: waited " +
                     std::to_string(job.waitedMs) + " ms of " +
-                    std::to_string(job.deadlineMs) + " ms allowed",
+                    std::to_string(job.request.deadlineMs) + " ms allowed",
                 "deadline_exceeded");
         } else {
             try {
@@ -374,8 +374,6 @@ Server::handleLine(const std::shared_ptr<Connection> &connection,
     job.wireId = request.id;
     job.request = request.run;
     job.connection = connection;
-    job.deadlineMs =
-        static_cast<std::uint64_t>(request.run.deadlineMs);
     if (!queue_.push(std::move(job))) {
         const bool draining =
             shuttingDown_.load() || queue_.closed();

@@ -169,9 +169,9 @@ TEST(ResultCache, StaleEntryMissesAfterContentChange)
     obs::Registry metrics;
     runtime::ResultCache cache(metrics);
 
-    const auto first = runtime::measureCached(*bm, w, &cache);
+    const auto first = runtime::measureCached(*bm, w, cache);
     EXPECT_EQ(cache.misses(), 1u);
-    const auto again = runtime::measureCached(*bm, w, &cache);
+    const auto again = runtime::measureCached(*bm, w, cache);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(first.checksum, again.checksum);
     // Only the miss executed the model.

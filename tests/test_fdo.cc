@@ -1,21 +1,68 @@
 /** @file Tests for the FDO harness. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "benchmarks/mcf/benchmark.h"
 #include "benchmarks/xz/benchmark.h"
 #include "fdo/fdo.h"
 #include "support/check.h"
+#include "collect_sink.h"
 
 namespace {
 
 using namespace alberta;
 using namespace alberta::fdo;
+using tests::CollectSink;
+using tests::suiteBatchTasks;
+
+std::uint64_t
+count(runtime::Engine &engine, const std::string &name)
+{
+    return engine.metrics().counter(name).value();
+}
+
+/**
+ * The serial reference for one experiment: a plain loop over
+ * collectProfile/compileOptimization/runOptimized on its own cache.
+ * Returns the self-evaluation's speedup, then every non-training
+ * workload's, in workload order.
+ */
+std::vector<double>
+serialSpeedups(const runtime::Benchmark &bm,
+               const std::vector<std::string> &train)
+{
+    obs::Registry metrics;
+    runtime::ResultCache cache(metrics);
+    Profile profile =
+        collectProfile(bm, runtime::findWorkload(bm, train[0]), cache);
+    for (std::size_t t = 1; t < train.size(); ++t) {
+        profile.merge(collectProfile(
+            bm, runtime::findWorkload(bm, train[t]), cache));
+    }
+    const Optimization opt = compileOptimization(profile);
+    const auto speedup = [&](const runtime::Workload &w) {
+        return runOptimized(bm, w, nullptr, cache).cycles /
+               runOptimized(bm, w, &opt, cache).cycles;
+    };
+    std::vector<double> out = {
+        speedup(runtime::findWorkload(bm, train[0]))};
+    for (const runtime::Workload &w : bm.workloads()) {
+        if (std::find(train.begin(), train.end(), w.name) == train.end())
+            out.push_back(speedup(w));
+    }
+    return out;
+}
 
 TEST(Profile, CollectsBranchSites)
 {
     mcf::McfBenchmark bm;
     const auto w = runtime::findWorkload(bm, "test");
-    const Profile p = collectProfile(bm, w);
+    obs::Registry metrics;
+    runtime::ResultCache cache(metrics);
+    const Profile p = collectProfile(bm, w, cache);
+    EXPECT_EQ(metrics.counter("model.runs").value(), 1u);
     EXPECT_FALSE(p.sites.empty());
     EXPECT_FALSE(p.methodHotness.empty());
     EXPECT_GT(p.retiredOps, 0u);
@@ -79,10 +126,12 @@ TEST(Fdo, OptimizationPreservesOutputAndHelpsSelf)
     // critique target) must give a speedup >= ~1.
     xz::XzBenchmark bm;
     const auto w = runtime::findWorkload(bm, "test");
-    const Profile p = collectProfile(bm, w);
+    obs::Registry metrics;
+    runtime::ResultCache cache(metrics);
+    const Profile p = collectProfile(bm, w, cache);
     const Optimization opt = compileOptimization(p);
-    const FdoMeasurement base = runOptimized(bm, w, nullptr);
-    const FdoMeasurement tuned = runOptimized(bm, w, &opt);
+    const FdoMeasurement base = runOptimized(bm, w, nullptr, cache);
+    const FdoMeasurement tuned = runOptimized(bm, w, &opt, cache);
     EXPECT_EQ(base.checksum, tuned.checksum);
     EXPECT_GT(base.cycles / tuned.cycles, 0.99);
 }
@@ -90,8 +139,13 @@ TEST(Fdo, OptimizationPreservesOutputAndHelpsSelf)
 TEST(Fdo, CrossValidationProducesFullReport)
 {
     mcf::McfBenchmark bm;
-    runtime::Engine engine(1);
+    auto sink = std::make_unique<CollectSink>();
+    CollectSink *spans = sink.get();
+    runtime::Engine engine =
+        runtime::Engine::Builder().jobs(1).traceSink(std::move(sink)).build();
     const CrossValidation cv = crossValidate(bm, "test", engine);
+    EXPECT_EQ(suiteBatchTasks(spans->spans()),
+              (std::vector<std::uint64_t>{1, 14}));
     EXPECT_EQ(cv.benchmark, "505.mcf_r");
     EXPECT_EQ(cv.evalNames.size(), 6u); // 7 workloads minus train
     EXPECT_GT(cv.selfSpeedup, 0.9);
@@ -100,18 +154,68 @@ TEST(Fdo, CrossValidationProducesFullReport)
     EXPECT_LE(cv.minCross, cv.meanCross + 1e-12);
     // Every executed model run is counted: 1 profile run, 7 baseline
     // misses (6 evaluations + the self-evaluation), 7 optimized runs.
-    EXPECT_EQ(engine.metrics().counter("model.runs").value(), 15u);
-    EXPECT_EQ(engine.metrics().counter("cache.misses").value(), 7u);
-}
-
-TEST(Fdo, SpeedupHelperMatchesManualPath)
-{
-    mcf::McfBenchmark bm;
-    const auto train = runtime::findWorkload(bm, "test");
-    const auto eval = runtime::findWorkload(bm, "train");
-    const double s = fdoSpeedup(bm, train, eval);
+    EXPECT_EQ(count(engine, "model.runs"), 15u);
+    EXPECT_EQ(count(engine, "cache.misses"), 7u);
+    // Training on "test" transfers to "train" within a plausible band.
+    const auto train =
+        std::find(cv.evalNames.begin(), cv.evalNames.end(), "train");
+    ASSERT_NE(train, cv.evalNames.end());
+    const double s = cv.evalSpeedups[train - cv.evalNames.begin()];
     EXPECT_GT(s, 0.8);
     EXPECT_LT(s, 2.0);
+}
+
+TEST(Fdo, CrossValidateAllMatchesSerialReferenceBitForBit)
+{
+    mcf::McfBenchmark bm;
+    const std::vector<std::string> combined = {
+        "test", "alberta.city-1", "alberta.city-2"};
+    const std::vector<Experiment> experiments = {{&bm, {"test"}},
+                                                 {&bm, combined}};
+    const std::vector<std::vector<double>> reference = {
+        serialSpeedups(bm, {"test"}), serialSpeedups(bm, combined)};
+    ASSERT_EQ(reference[0].size(), 7u);
+    ASSERT_EQ(reference[1].size(), 5u);
+
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        auto sink = std::make_unique<CollectSink>();
+        CollectSink *spans = sink.get();
+        runtime::Engine engine = runtime::Engine::Builder()
+                                     .jobs(jobs)
+                                     .traceSink(std::move(sink))
+                                     .build();
+        const std::vector<CrossValidation> cold =
+            crossValidateAll(experiments, engine);
+        ASSERT_EQ(cold.size(), 2u);
+        for (std::size_t e = 0; e < cold.size(); ++e) {
+            ASSERT_EQ(cold[e].evalSpeedups.size() + 1,
+                      reference[e].size());
+            EXPECT_EQ(cold[e].selfSpeedup, reference[e][0]);
+            for (std::size_t i = 0; i < cold[e].evalSpeedups.size(); ++i)
+                EXPECT_EQ(cold[e].evalSpeedups[i], reference[e][i + 1]);
+        }
+        // Two batches: 3 distinct profile runs, then 7 distinct
+        // baselines plus 7 + 5 optimized runs.
+        EXPECT_EQ(suiteBatchTasks(spans->spans()),
+                  (std::vector<std::uint64_t>{3, 19}));
+        EXPECT_EQ(count(engine, "model.runs"), 22u);
+        EXPECT_EQ(count(engine, "cache.misses"), 7u);
+        EXPECT_EQ(count(engine, "cache.hits"), 0u);
+
+        // A warm re-run replays every baseline and executes only the
+        // profile and optimized runs again.
+        const std::vector<CrossValidation> warm =
+            crossValidateAll(experiments, engine);
+        EXPECT_EQ(suiteBatchTasks(spans->spans()).size(), 4u);
+        EXPECT_EQ(count(engine, "cache.hits"), 7u);
+        EXPECT_EQ(count(engine, "cache.misses"), 7u);
+        EXPECT_EQ(count(engine, "model.runs"), 22u + 3u + 12u);
+        for (std::size_t e = 0; e < warm.size(); ++e) {
+            EXPECT_EQ(warm[e].selfSpeedup, cold[e].selfSpeedup);
+            EXPECT_EQ(warm[e].evalSpeedups, cold[e].evalSpeedups);
+        }
+    }
 }
 
 } // namespace

@@ -18,44 +18,12 @@
 #include "obs/obs.h"
 #include "runtime/engine.h"
 #include "runtime/executor.h"
+#include "collect_sink.h"
 
 namespace {
 
 using namespace alberta;
-
-/** Sink collecting raw SpanRecords for structural assertions. */
-class CollectSink : public obs::TraceSink
-{
-  public:
-    void
-    record(const obs::SpanRecord &span) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        spans_.push_back(span);
-    }
-
-    std::vector<obs::SpanRecord>
-    spans() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return spans_;
-    }
-
-    const obs::SpanRecord *
-    find(const std::string &name) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &s : spans_) {
-            if (s.name == name)
-                return &s;
-        }
-        return nullptr;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<obs::SpanRecord> spans_;
-};
+using tests::CollectSink;
 
 TEST(Metrics, CounterGaugeHistogramBasics)
 {

@@ -16,51 +16,13 @@
 
 #include "core/suite.h"
 #include "runtime/scheduler.h"
+#include "collect_sink.h"
 
 namespace {
 
 using namespace alberta;
-/** Keeps every finished span (the scheduler's workers finish spans
- * concurrently, so recording is locked). */
-class CollectSink : public obs::TraceSink
-{
-  public:
-    void
-    record(const obs::SpanRecord &span) override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        spans_.push_back(span);
-    }
-
-    std::vector<obs::SpanRecord>
-    spans() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return spans_;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<obs::SpanRecord> spans_;
-};
-
-/** The `tasks` note of every `suite_batch` span: one entry per
- * Scheduler::run, in completion order. Only the scheduler opens
- * these spans, so a call that bypassed it leaves none. */
-std::vector<std::uint64_t>
-suiteBatchTasks(const std::vector<obs::SpanRecord> &spans)
-{
-    std::vector<std::uint64_t> tasks;
-    for (const obs::SpanRecord &span : spans) {
-        if (span.category != "scheduler" || span.name != "suite_batch")
-            continue;
-        for (const auto &[key, value] : span.attrs) {
-            if (key == "tasks")
-                tasks.push_back(std::stoull(value));
-        }
-    }
-    return tasks;
-}
+using tests::CollectSink;
+using tests::suiteBatchTasks;
 
 /** An engine with @p jobs workers whose spans go to @p spans. */
 runtime::Engine

@@ -338,7 +338,7 @@ job(std::uint64_t client, std::uint64_t wireId,
     serve::QueueJob j;
     j.client = client;
     j.wireId = wireId;
-    j.deadlineMs = deadlineMs;
+    j.request.deadlineMs = static_cast<std::int64_t>(deadlineMs);
     return j;
 }
 

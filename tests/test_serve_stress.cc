@@ -173,10 +173,12 @@ runSchedule(std::uint64_t seed)
             serve::QueueJob j;
             j.client = 1 + rng.below(kClients);
             j.wireId = nextWireId++;
-            j.deadlineMs =
+            const std::uint64_t deadlineMs =
                 rng.chance(0.3) ? 1 + rng.below(40) : 0;
+            j.request.deadlineMs =
+                static_cast<std::int64_t>(deadlineMs);
             const bool refAccepted =
-                model.push(j.client, j.wireId, j.deadlineMs, now);
+                model.push(j.client, j.wireId, deadlineMs, now);
             EXPECT_EQ(queue.push(j), refAccepted);
         } else if (draw < 90) { // pop (if anything is queued)
             popBoth();
@@ -251,7 +253,7 @@ TEST(ServeStress, MpmcPreservesPerClientFifoAndLanePinning)
                     serve::QueueJob j;
                     j.client = client;
                     j.wireId = static_cast<std::uint64_t>(i + 1);
-                    j.deadlineMs = rng.chance(0.1) ? 1 : 0;
+                    j.request.deadlineMs = rng.chance(0.1) ? 1 : 0;
                     // Bounded queue: spin until admitted so every
                     // job is accounted for in the FIFO check.
                     while (!queue.push(j))

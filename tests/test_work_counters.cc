@@ -23,34 +23,13 @@
 
 #include "core/request.h"
 #include "core/suite.h"
+#include "collect_sink.h"
 
 namespace {
 
 using namespace alberta;
+using tests::CollectSink;
 namespace fs = std::filesystem;
-
-/** Keeps every finished span (workers finish spans concurrently). */
-class CollectSink : public obs::TraceSink
-{
-  public:
-    void
-    record(const obs::SpanRecord &span) override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        spans_.push_back(span);
-    }
-
-    std::vector<obs::SpanRecord>
-    spans() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return spans_;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<obs::SpanRecord> spans_;
-};
 
 std::uint64_t
 count(runtime::Engine &engine, const std::string &name)
